@@ -13,6 +13,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import shutil
+import tempfile
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,27 +55,34 @@ class ResponseTable:
     seed: int
 
     def save(self, directory) -> None:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        index = {
-            "lengths": list(self.lengths),
-            "density_grid": list(self.density_grid),
-            "gen_params": self.gen_params,
-            "n_instances": self.n_instances,
-            "seed": self.seed,
-            "profiles": [],
-        }
-        np.savetxt(directory / "freqs.csv", self.freqs, header="freq",
-                   comments="# ")
-        for (length, density), power in sorted(self.profiles.items()):
-            name = f"profile_L{length}_rho{density:+.4f}.csv"
-            np.savetxt(directory / name,
-                       np.column_stack([self.freqs, power]),
-                       delimiter=",", header="freq,power", comments="# ")
-            index["profiles"].append(
-                {"length": length, "density": density, "file": name})
-        with open(directory / "index.json", "w") as fh:
-            json.dump(index, fh, indent=2, sort_keys=True)
+        """Write the table in a temporary sibling directory, then move it into
+        place, so a crash never leaves a partial table under the final name."""
+        final = Path(directory)
+        final.parent.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(dir=final.parent) as tmp:
+            directory = Path(tmp) / final.name
+            directory.mkdir()
+            index = {
+                "lengths": list(self.lengths),
+                "density_grid": list(self.density_grid),
+                "gen_params": self.gen_params,
+                "n_instances": self.n_instances,
+                "seed": self.seed,
+                "profiles": [],
+            }
+            np.savetxt(directory / "freqs.csv", self.freqs, header="freq",
+                       comments="# ")
+            for (length, density), power in sorted(self.profiles.items()):
+                name = f"profile_L{length}_rho{density:+.4f}.csv"
+                np.savetxt(directory / name,
+                           np.column_stack([self.freqs, power]),
+                           delimiter=",", header="freq,power", comments="# ")
+                index["profiles"].append(
+                    {"length": length, "density": density, "file": name})
+            with open(directory / "index.json", "w") as fh:
+                json.dump(index, fh, indent=2, sort_keys=True)
+            shutil.rmtree(final, ignore_errors=True)  # a damaged older table
+            directory.replace(final)
 
     @classmethod
     def load(cls, directory) -> "ResponseTable":
@@ -152,8 +161,10 @@ def build_response_table(gen_params: Mapping, lengths: Sequence[int] = (1, 2, 3)
             sort_keys=True)
         cache_key = hashlib.sha256(payload.encode()).hexdigest()[:16]
         cached = Path(cache_dir) / f"response_table_{cache_key}"
-        if (cached / "index.json").exists():
+        try:
             return ResponseTable.load(cached)
+        except (OSError, ValueError, KeyError, IndexError):
+            pass  # absent or damaged: a cache miss, rebuilt and rewritten below
 
     profiles: dict[tuple[int, float], np.ndarray] = {}
     freqs = None

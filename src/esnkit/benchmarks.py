@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .esn import (
+    _fit_readout,
     forecast_free_run,
     run_teacher_forced,
     score_against_classes,
@@ -76,10 +77,9 @@ def forecast_benchmark(bundle: TaskBundle, reservoir: Reservoir, *,
                                  teacher=_next_step_teacher(series),
                                  washout=bundle.washout)
         design = run.design_matrix()
-        target = series[1:]
         train_rows = slice(bundle.washout, split - 1)
-        readout = train_readout_rows(design[train_rows], target[bundle.washout:split - 1],
-                                     run.inputs[train_rows], ridge)
+        readout = _fit_readout(design[train_rows], series[bundle.washout + 1:split],
+                               run.inputs[train_rows], ridge)
         if horizon == 1:
             test_rows = slice(split, len(series) - 1)
             pred = design[test_rows] @ readout.w_out
@@ -93,9 +93,9 @@ def forecast_benchmark(bundle: TaskBundle, reservoir: Reservoir, *,
                              teacher=_next_step_teacher(train_series),
                              washout=bundle.washout)
     rows = slice(bundle.washout, len(train_series) - 1)
-    readout = train_readout_rows(run.design_matrix()[rows],
-                                 train_series[bundle.washout + 1:],
-                                 train_series[rows], ridge)
+    readout = _fit_readout(run.design_matrix()[rows],
+                           train_series[bundle.washout + 1:],
+                           train_series[rows], ridge)
 
     test_series = bundle.test
     if horizon == 1:
@@ -110,18 +110,6 @@ def forecast_benchmark(bundle: TaskBundle, reservoir: Reservoir, *,
                                 bundle.washout, horizon, anchors)
     return float(np.sqrt(np.mean(errors ** 2)
                          / np.var(test_series[bundle.washout:])))
-
-
-def train_readout_rows(design: np.ndarray, target: np.ndarray,
-                       normalizer: np.ndarray, ridge: float):
-    """Readout fit on explicit design rows (continuous-split protocols)."""
-    from .esn import TrainedReadout, solve_ridge
-
-    w = solve_ridge(design, target, ridge)
-    pred = design @ w
-    sse = float(np.sum((target - pred) ** 2))
-    err = 0.0 if sse == 0.0 else nrmse(pred, target, normalizer)
-    return TrainedReadout(w_out=w, ridge=ridge, train_nrmse=err)
 
 
 def classification_benchmark(bundle: TaskBundle, reservoir: Reservoir, *,

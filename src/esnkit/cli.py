@@ -30,7 +30,7 @@ from .adapt import (
     validate_and_combine,
 )
 from .benchmarks import benchmark, cycle_evaluator
-from .errors import ConfigError, DataError, EsnKitError
+from .errors import ConfigError, DataError, EsnKitError, IngestionError
 from .metrics import bin_by_lambda, memory_capacity
 from .reservoirs import Normalization, make_reservoir
 from .signals import periodogram, reservoir_response
@@ -256,7 +256,10 @@ def cmd_psd(args) -> int:
     if bool(args.input) == bool(args.reservoir):
         raise ConfigError("pass exactly one of --input or --reservoir")
     if args.input:
-        series = np.loadtxt(args.input)
+        try:
+            series = np.loadtxt(args.input)
+        except ValueError as exc:
+            raise IngestionError(f"{args.input}: {exc}") from exc
         if series.ndim != 1:
             raise DataError("input series must be one value per line")
         profile = periodogram(series)

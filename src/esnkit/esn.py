@@ -30,7 +30,6 @@ __all__ = [
     "step",
     "run_teacher_forced",
     "train_readout",
-    "readout_outputs",
     "forecast_free_run",
     "train_class_readouts",
     "classify_by_forecast",
@@ -162,6 +161,17 @@ def solve_ridge(design: np.ndarray, target: np.ndarray, ridge: float) -> np.ndar
     return scipy.linalg.cho_solve((c, low), rhs, check_finite=False)
 
 
+def _fit_readout(design: np.ndarray, target: np.ndarray,
+                 normalizer: np.ndarray, ridge: float) -> TrainedReadout:
+    """Ridge readout on explicit design rows, with its training NRMSE
+    normalized by ``normalizer`` (exactly 0 for a perfect fit)."""
+    w = solve_ridge(design, target, ridge)
+    pred = design @ w
+    sse = float(np.sum((target - pred) ** 2))
+    err = 0.0 if sse == 0.0 else nrmse(pred, target, normalizer)
+    return TrainedReadout(w_out=w, ridge=ridge, train_nrmse=err)
+
+
 def train_readout(run: EsnRun, target: np.ndarray,
                   ridge: float = 1e-8) -> TrainedReadout:
     """Fit the readout on the post-washout window of a recorded run.
@@ -181,16 +191,7 @@ def train_readout(run: EsnRun, target: np.ndarray,
         raise ParameterError(
             f"need at least {n_features + 1} post-washout samples, have {n_rows}")
     design = np.column_stack([run.states[lo:], run.inputs[lo:]])
-    w = solve_ridge(design, y[lo:], ridge)
-    pred = design @ w
-    sse = float(np.sum((y[lo:] - pred) ** 2))
-    train_err = 0.0 if sse == 0.0 else nrmse(pred, y[lo:], run.inputs[lo:])
-    return TrainedReadout(w_out=w, ridge=ridge, train_nrmse=train_err)
-
-
-def readout_outputs(run: EsnRun, readout: TrainedReadout) -> np.ndarray:
-    """Apply a trained readout to every recorded step of a run."""
-    return run.design_matrix() @ readout.w_out
+    return _fit_readout(design, y[lo:], run.inputs[lo:], ridge)
 
 
 def forecast_free_run(reservoir: Reservoir, readout: TrainedReadout,
@@ -259,11 +260,7 @@ def train_class_readouts(train_sets: Mapping[int, Sequence[np.ndarray]],
             raise SingularDesignError(
                 f"class {label!r} has too few training samples "
                 f"({design.shape[0]} rows for {n_features} features)")
-        w = solve_ridge(design, target, ridge)
-        pred = design @ w
-        sse = float(np.sum((target - pred) ** 2))
-        err = 0.0 if sse == 0.0 else nrmse(pred, target, design[:, -1])
-        readouts[label] = TrainedReadout(w_out=w, ridge=ridge, train_nrmse=err)
+        readouts[label] = _fit_readout(design, target, design[:, -1], ridge)
     return readouts
 
 
@@ -278,12 +275,8 @@ def score_against_classes(readouts: Mapping[int, TrainedReadout],
     the lowest class label.
     """
     series = np.asarray(test, dtype=float)
-    run = run_teacher_forced(reservoir, series, washout=washout,
-                             activation=activation)
-    hi = len(series) - 1
-    design = np.column_stack([run.states[washout:hi], series[washout:hi]])
-    target = series[washout + 1:hi + 1]
-    normalizer = series[washout:hi]
+    design, target = _one_step_blocks(reservoir, series, washout, activation)
+    normalizer = series[washout:len(series) - 1]
     scores: dict[int, float] = {}
     for label in sorted(readouts):
         pred = design @ readouts[label].w_out

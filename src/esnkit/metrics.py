@@ -110,10 +110,11 @@ def memory_capacity_from_states(states: np.ndarray, drive: np.ndarray,
     split = len(rows) // 2
     tr, te = rows[:split], rows[split:]
     design = np.column_stack([X, u])
-    gram = design[tr].T @ design[tr]
+    design_tr, design_te = design[tr], design[te]
+    gram = design_tr.T @ design_tr
     gram[np.diag_indices_from(gram)] += ridge
     factor = scipy.linalg.cho_factor(gram, check_finite=False)
-    rhs_base = design[tr].T
+    rhs_base = design_tr.T
 
     coeffs = []
     below = 0
@@ -121,7 +122,7 @@ def memory_capacity_from_states(states: np.ndarray, drive: np.ndarray,
         target_tr = u[tr - tau]
         w = scipy.linalg.cho_solve(factor, rhs_base @ target_tr,
                                    check_finite=False)
-        pred = design[te] @ w
+        pred = design_te @ w
         target_te = u[te - tau]
         ps, ts = pred.std(), target_te.std()
         if ps == 0.0 or ts == 0.0:

@@ -10,6 +10,7 @@ internally, which is fine at the sizes used here.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -543,6 +544,10 @@ def make_reservoir(family: str, **kwargs) -> Reservoir:
         builder = _FAMILY_BUILDERS[family.upper()]
     except KeyError:
         raise ParameterError(f"unknown reservoir family {family!r}") from None
+    try:
+        inspect.signature(builder).bind(**kwargs)
+    except TypeError as exc:
+        raise ParameterError(f"{family} reservoir config: {exc}") from None
     return builder(**kwargs)
 
 
@@ -553,58 +558,28 @@ def make_reservoir(family: str, **kwargs) -> Reservoir:
 def measure_cycle_density(W, max_length: int = 3) -> CycleDensity:
     """Signed cycle density for each cycle length up to ``max_length``.
 
-    Enumerates all simple directed cycles of length 1..max_length by sparse
-    traversal. Each cycle contributes its length in edges (with multiplicity
-    when an edge sits on several cycles) to the sign class of its
-    weight product; the density per length is
-    ``(positive_edges - negative_edges) / total_edges``.
+    Each simple directed cycle contributes its length in edges to the sign
+    class of its weight product; the density per length is
+    ``(positive_edges - negative_edges) / total_edges``. With ``S`` the signs
+    of the off-diagonal weights these counts are the traces of S^2 and S^3:
+    without self-loops every closed 2- or 3-walk is a simple cycle.
 
-    Lengths above 3 are unsupported: enumeration cost grows combinatorially
-    and nothing downstream needs them.
+    Lengths above 3 are unsupported: longer closed walks revisit nodes, and
+    nothing downstream needs them.
     """
     if max_length not in (1, 2, 3):
         raise ParameterError("max_length must be 1, 2, or 3")
-    A = sp.csr_array(W) if not sp.issparse(W) else W.tocsr()
-    A = sp.csr_array(A)
+    A = sp.csr_array(W, copy=True)
     A.sum_duplicates()
     A.eliminate_zeros()
-    n = A.shape[0]
-    coo = A.tocoo()
-    edge_count = coo.nnz
+    edge_count = A.nnz
     if edge_count == 0:
         return CycleDensity({length: 0.0 for length in range(1, max_length + 1)}, 0)
 
-    out: dict[int, dict[int, float]] = {}
-    for i, j, v in zip(coo.row, coo.col, coo.data):
-        out.setdefault(int(i), {})[int(j)] = float(v)
-
-    net = {}
-    # length 1: self-loops
-    signed = sum(np.sign(out[i][i]) for i in out if i in out[i])
-    net[1] = 1 * signed
-
-    if max_length >= 2:
-        signed = 0.0
-        for i, nbrs in out.items():
-            for j, w_ij in nbrs.items():
-                if j > i and i in out.get(j, {}):
-                    signed += np.sign(w_ij * out[j][i])
-        net[2] = 2 * signed
-
-    if max_length >= 3:
-        signed = 0.0
-        for i, nbrs in out.items():
-            for j, w_ij in nbrs.items():
-                if j == i or j < i:
-                    continue
-                for k, w_jk in out.get(j, {}).items():
-                    if k == i or k == j or k < i:
-                        continue
-                    w_ki = out.get(k, {}).get(i)
-                    if w_ki is not None:
-                        signed += np.sign(w_ij * w_jk * w_ki)
-        net[3] = 3 * signed
-
+    S = (A - sp.diags_array(A.diagonal())).sign()
+    S2 = S @ S
+    net = {1: np.sign(A.diagonal()).sum(), 2: S2.trace(),
+           3: S2.multiply(S.T).sum()}
     density = {length: float(net[length]) / edge_count
                for length in range(1, max_length + 1)}
     return CycleDensity(density, edge_count)

@@ -10,8 +10,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .errors import DataError
-from .esn import TrainedReadout
+from .errors import DataError, IngestionError
 from .metrics import MemoryProfile
 from .reservoirs import Normalization, Reservoir, ReservoirMeta
 from .signals import PsdProfile
@@ -23,15 +22,9 @@ __all__ = [
     "save_reservoir",
     "load_reservoir",
     "spectrum_to_dict",
-    "spectrum_from_dict",
-    "readout_to_dict",
-    "readout_from_dict",
     "memory_profile_to_dict",
     "psd_to_csv",
-    "psd_from_csv",
     "psd_to_dict",
-    "psd_from_dict",
-    "save_run_states",
     "write_json",
     "read_json",
 ]
@@ -64,10 +57,13 @@ def load_matrix(path) -> sp.csr_array:
     path = Path(path)
     if not path.exists():
         raise DataError(f"matrix file not found: {path}")
-    if path.suffix == ".mtx":
-        return sp.csr_array(sp.coo_array(scipy.io.mmread(str(path))))
-    if path.suffix == ".csv":
-        return sp.csr_array(np.atleast_2d(np.loadtxt(path, delimiter=",")))
+    try:
+        if path.suffix == ".mtx":
+            return sp.csr_array(sp.coo_array(scipy.io.mmread(str(path))))
+        if path.suffix == ".csv":
+            return sp.csr_array(np.atleast_2d(np.loadtxt(path, delimiter=",")))
+    except ValueError as exc:
+        raise IngestionError(f"{path.name}: {exc}") from exc
     raise DataError(f"unsupported matrix format {path.suffix!r}")
 
 
@@ -134,26 +130,6 @@ def spectrum_to_dict(report: SpectrumReport) -> dict:
     }
 
 
-def spectrum_from_dict(doc: dict) -> SpectrumReport:
-    vals = np.array([complex(re, im) for re, im in doc["eigenvalues"]])
-    return SpectrumReport(
-        eigenvalues=vals,
-        spectral_radius=doc["spectral_radius"],
-        avg_modulus=doc["avg_modulus"],
-        modulus_histogram=[(c, d) for c, d in doc["modulus_histogram"]],
-    )
-
-
-def readout_to_dict(readout: TrainedReadout) -> dict:
-    return {"w_out": readout.w_out.tolist(), "ridge": readout.ridge,
-            "train_nrmse": readout.train_nrmse}
-
-
-def readout_from_dict(doc: dict) -> TrainedReadout:
-    return TrainedReadout(w_out=np.asarray(doc["w_out"], dtype=float),
-                          ridge=doc["ridge"], train_nrmse=doc["train_nrmse"])
-
-
 def memory_profile_to_dict(profile: MemoryProfile) -> dict:
     return {"per_delay": profile.per_delay.tolist(), "total": profile.total,
             "tau_max_used": profile.tau_max_used,
@@ -166,25 +142,6 @@ def psd_to_csv(profile: PsdProfile, path) -> None:
                comments="# ")
 
 
-def psd_from_csv(path) -> PsdProfile:
-    data = np.loadtxt(path, delimiter=",")
-    return PsdProfile(freqs=data[:, 0], power=data[:, 1])
-
-
 def psd_to_dict(profile: PsdProfile) -> dict:
     return {"freqs": profile.freqs.tolist(), "power": profile.power.tolist(),
             "n_averages": profile.n_averages}
-
-
-def psd_from_dict(doc: dict) -> PsdProfile:
-    return PsdProfile(freqs=np.asarray(doc["freqs"], dtype=float),
-                      power=np.asarray(doc["power"], dtype=float),
-                      n_averages=doc.get("n_averages", 1))
-
-
-def save_run_states(run, path) -> None:
-    """Dump a recorded trajectory as CSV (one row per step) for debugging."""
-    np.savetxt(path, run.states, delimiter=",",
-               header=f"states (T={run.states.shape[0]}, "
-                      f"N={run.states.shape[1]}, washout={run.washout})",
-               comments="# ")

@@ -1,6 +1,8 @@
+import json
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from esnkit.adapt import (
     AdaptationResult,
@@ -72,6 +74,33 @@ class TestBuildResponseTable:
                                  cache_dir=tmp_path)
         for key in a.profiles:
             assert_allclose(b.profiles[key], a.profiles[key], rtol=1e-6)
+
+    def test_truncated_cache_is_rebuilt(self, tmp_path):
+        kwargs = dict(lengths=(1,), density_grid=(0.0, 0.5), n_instances=2,
+                      seed=3, T=128)
+        fresh = build_response_table(GEN, **kwargs)
+        build_response_table(GEN, **kwargs, cache_dir=tmp_path)
+        (cached,) = tmp_path.glob("response_table_*")
+        index = cached / "index.json"
+        index.write_text(index.read_text()[:40])
+        rebuilt = build_response_table(GEN, **kwargs, cache_dir=tmp_path)
+        for key, power in fresh.profiles.items():
+            assert_array_equal(rebuilt.profiles[key], power)
+        assert json.loads(index.read_text())["seed"] == 3
+        assert list(tmp_path.iterdir()) == [cached]
+
+    def test_interrupted_save_leaves_no_table(self, small_table, tmp_path,
+                                              monkeypatch):
+        def crash(path, *args, **kwargs):
+            if "profile_" in str(path):
+                raise KeyboardInterrupt
+            return real_savetxt(path, *args, **kwargs)
+
+        real_savetxt = np.savetxt
+        monkeypatch.setattr(np, "savetxt", crash)
+        with pytest.raises(KeyboardInterrupt):
+            small_table.save(tmp_path / "table")
+        assert list(tmp_path.iterdir()) == []
 
     def test_grid_validation(self):
         with pytest.raises(ParameterError):

@@ -81,6 +81,33 @@ class TestErrors:
         assert run_cli("spectrum", tmp_path / "nothing.mtx",
                        "-o", tmp_path / "o") == 3
 
+    @staticmethod
+    def single_error_line(capsys):
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        return json.loads(lines[0])
+
+    def test_unknown_reservoir_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "g.json", {"reservoir": {
+            "family": "ER", "n": 20, "avg_degree": 4, "bogus": 1}})
+        assert run_cli("generate", "-c", cfg, "-o", tmp_path / "o") == 2
+        err = self.single_error_line(capsys)
+        assert err["error"] == "ParameterError"
+        assert "bogus" in err["message"]
+
+    def test_malformed_matrix_market(self, tmp_path, capsys):
+        path = tmp_path / "bad.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "3 3 2\n1 1 abc\n2 2 1.0\n")
+        assert run_cli("spectrum", path, "-o", tmp_path / "o") == 3
+        assert self.single_error_line(capsys)["error"] == "IngestionError"
+
+    def test_non_numeric_psd_input(self, tmp_path, capsys):
+        path = tmp_path / "series.txt"
+        path.write_text("0.1\n0.2\nnot-a-number\n0.4\n")
+        assert run_cli("psd", "--input", path, "-o", tmp_path / "o") == 3
+        assert self.single_error_line(capsys)["error"] == "IngestionError"
+
 
 class TestMemoryCommand:
     def test_small_ensemble(self, tmp_path):

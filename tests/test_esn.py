@@ -12,7 +12,6 @@ from esnkit.esn import (
     TrainedReadout,
     classify_by_forecast,
     forecast_free_run,
-    readout_outputs,
     run_teacher_forced,
     step,
     train_readout,
@@ -207,7 +206,7 @@ class TestTrainReadout:
         run = self.make_run(rng)
         target = rng.standard_normal(len(run.inputs))
         readout = train_readout(run, target, ridge=0.0)
-        preds = readout_outputs(run, readout)[run.washout:]
+        preds = (run.design_matrix() @ readout.w_out)[run.washout:]
 
         A = np.eye(21) + 0.3 * rng.standard_normal((21, 21))
         design = run.design_matrix() @ A

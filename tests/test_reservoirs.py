@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from esnkit.errors import ParameterError
@@ -16,7 +17,7 @@ from esnkit.reservoirs import (
     measure_cycle_density,
 )
 from esnkit.spectral import avg_modulus, eigenvalues, spectral_radius
-from oracles import spectra_distance
+from oracles import cycle_density_longhand, spectra_distance
 
 
 def measured_normalization(res):
@@ -298,6 +299,30 @@ class TestCycleDensityMeasurement:
     def test_length_cap(self):
         with pytest.raises(ParameterError):
             measure_cycle_density(np.eye(3), max_length=4)
+
+    def test_leaves_input_unchanged(self):
+        W = sp.csr_array((np.array([1.0, 0.0, 2.0]), np.array([0, 1, 1]),
+                          np.array([0, 2, 3])), shape=(2, 2))
+        assert measure_cycle_density(W).edge_count == 2
+        assert W.nnz == 3
+
+    def test_matches_longhand_enumeration(self):
+        matrices = [gen_er(60, 5, seed=s).W for s in range(4)]
+        for seed in range(8):
+            signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=3)
+            density = {1: 0.1 * signs[0], 2: 0.3 * signs[1], 3: 0.3 * signs[2]}
+            for l1_mode in ("weight_mix", "edge_count"):
+                matrices.append(gen_combined(80, 0.05, density, seed=seed,
+                                             l1_mode=l1_mode).W)
+        rng = np.random.default_rng(5)
+        dense = rng.standard_normal((30, 30)) * (rng.random((30, 30)) < 0.2)
+        matrices += [dense, sp.csr_array(dense)]
+        for W in matrices:
+            for max_length in (1, 2, 3):
+                density, edge_count = cycle_density_longhand(W, max_length)
+                result = measure_cycle_density(W, max_length)
+                assert result.density == density
+                assert result.edge_count == edge_count
 
 
 class TestMakeReservoir:
