@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import EsnKitError, GenerationError, ParameterError
-from .reservoirs import Normalization, gen_cycle_enhanced
+from .reservoirs import _normalization_from_config, gen_cycle_enhanced
 from .signals import periodogram, reservoir_response
 
 __all__ = [
@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 DEFAULT_DENSITY_GRID = (-0.8, -0.6, -0.4, -0.2, 0.0, 0.2, 0.4, 0.6, 0.8)
+
+#: Version of the response-table algorithm and file layout. It is part of the
+#: cache key: bump it whenever a change would alter a cached table.
+_TABLE_FORMAT = 1
 
 
 @dataclass
@@ -146,13 +150,13 @@ def build_response_table(gen_params: Mapping, lengths: Sequence[int] = (1, 2, 3)
         raise ParameterError("density grid must lie within [-1, 1]")
     lengths = tuple(int(length) for length in lengths)
     params = dict(gen_params)
-    norm = params.pop("normalization", None)
-    normalization = Normalization(**norm) if isinstance(norm, Mapping) else norm
+    normalization = _normalization_from_config(params.pop("normalization", None))
 
     cache_key = None
     if cache_dir is not None:
         payload = json.dumps(
-            {"gen_params": {k: params[k] for k in sorted(params)},
+            {"format": _TABLE_FORMAT,
+             "gen_params": {k: params[k] for k in sorted(params)},
              "normalization": None if normalization is None else
              [normalization.mode, normalization.value],
              "lengths": lengths, "grid": grid, "n_instances": n_instances,

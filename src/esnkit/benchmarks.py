@@ -40,9 +40,8 @@ def _next_step_teacher(series: np.ndarray) -> np.ndarray:
     return np.concatenate([series[1:], series[-1:]])
 
 
-def _multi_step_errors(bundle: TaskBundle, reservoir: Reservoir, readout,
-                       series: np.ndarray, washout: int, horizon: int,
-                       anchors: int) -> np.ndarray:
+def _multi_step_errors(reservoir: Reservoir, readout, series: np.ndarray,
+                       washout: int, horizon: int, anchors: int) -> np.ndarray:
     """Closed-loop errors at the final step of ``horizon``-step rollouts
     started from evenly spaced anchors along a teacher-forced pass."""
     run = run_teacher_forced(reservoir, series,
@@ -84,7 +83,7 @@ def forecast_benchmark(bundle: TaskBundle, reservoir: Reservoir, *,
             test_rows = slice(split, len(series) - 1)
             pred = design[test_rows] @ readout.w_out
             return nrmse(pred, series[split + 1:], series[split:len(series) - 1])
-        errors = _multi_step_errors(bundle, reservoir, readout, series,
+        errors = _multi_step_errors(reservoir, readout, series,
                                     split, horizon, anchors)
         return float(np.sqrt(np.mean(errors ** 2) / np.var(series[split:])))
 
@@ -106,7 +105,7 @@ def forecast_benchmark(bundle: TaskBundle, reservoir: Reservoir, *,
         pred = test_run.design_matrix()[rows] @ readout.w_out
         return nrmse(pred, test_series[bundle.washout + 1:],
                      test_series[rows])
-    errors = _multi_step_errors(bundle, reservoir, readout, test_series,
+    errors = _multi_step_errors(reservoir, readout, test_series,
                                 bundle.washout, horizon, anchors)
     return float(np.sqrt(np.mean(errors ** 2)
                          / np.var(test_series[bundle.washout:])))

@@ -32,9 +32,9 @@ from .adapt import (
 from .benchmarks import benchmark, cycle_evaluator
 from .errors import ConfigError, DataError, EsnKitError, IngestionError
 from .metrics import bin_by_lambda, memory_capacity
-from .reservoirs import Normalization, make_reservoir
+from .reservoirs import _normalization_from_config, make_reservoir
 from .signals import periodogram, reservoir_response
-from .spectral import avg_modulus, spectrum_report
+from .spectral import spectrum_report
 from .storage import (
     load_matrix,
     load_reservoir,
@@ -131,16 +131,16 @@ def reservoir_from_config(cfg: dict, seed):
     cfg = dict(cfg)
     family = cfg.pop("family", "ER")
     norm = cfg.pop("normalization", None)
-    if isinstance(norm, dict):
-        cfg["normalization"] = Normalization(**norm)
-    elif norm is not None:
-        cfg["normalization"] = norm
-    if "cycle_density" in cfg and isinstance(cfg["cycle_density"], dict):
-        cfg["cycle_density"] = {int(k): float(v)
-                                for k, v in cfg["cycle_density"].items()}
+    if norm is not None:
+        cfg["normalization"] = _normalization_from_config(norm)
     if family.upper() != "DELAY_LINE":
         cfg["seed"] = seed
     return make_reservoir(family, **cfg)
+
+
+def _mean_modulus(reservoir) -> float:
+    """Mean eigenvalue modulus, from the spectrum the reservoir carries."""
+    return float(np.mean(np.abs(reservoir.eigenvalues())))
 
 
 def task_from_config(cfg: dict):
@@ -232,7 +232,7 @@ def cmd_memory(args) -> int:
             input_kind=cfg.get("input_kind", "uniform"),
         )
         doc = memory_profile_to_dict(profile)
-        doc.update(member=member, avg_modulus=avg_modulus(reservoir.W),
+        doc.update(member=member, avg_modulus=_mean_modulus(reservoir),
                    config_hash=config_hash(cfg))
         rows.append(doc)
     write_json({"config_hash": config_hash(cfg), "members": rows},
@@ -285,7 +285,7 @@ def _benchmark_member(payload) -> tuple[int, int, float, float, float]:
     reservoir = reservoir_from_config(res_cfg, seed_parts)
     score = benchmark(bundle, reservoir, ridge=ridge)
     return (sweep_idx, seed_parts[-1], float(value if value is not None else 0),
-            avg_modulus(reservoir.W), score)
+            _mean_modulus(reservoir), score)
 
 
 def cmd_benchmark(args) -> int:

@@ -22,7 +22,8 @@ from .errors import (
     GenerationError,
     ParameterError,
 )
-from .spectral import normalize_avg_modulus, normalize_spectral_radius
+from . import spectral
+from .spectral import _rescale, normalize_spectral_radius
 
 __all__ = [
     "Normalization",
@@ -73,9 +74,19 @@ class Normalization:
             raise ParameterError("normalization value must be positive")
 
     def apply(self, W):
-        if self.mode == "spectral_radius":
-            return normalize_spectral_radius(W, self.value)
-        return normalize_avg_modulus(W, self.value)
+        """The rescaled matrix and its spectrum (see ``Reservoir.eigenvalues``)."""
+        return _rescale(W, self.mode, self.value)
+
+
+def _normalization_from_config(norm):
+    """A ``Normalization`` from a config's ``{"mode", "value"}`` mapping;
+    ``None`` and ``Normalization`` instances pass through unchanged."""
+    if norm is None or isinstance(norm, Normalization):
+        return norm
+    try:
+        return Normalization(**norm)
+    except TypeError as exc:
+        raise ParameterError(f"normalization {norm!r}: {exc}") from None
 
 
 RADIUS_ONE = Normalization("spectral_radius", 1.0)
@@ -97,16 +108,35 @@ class ReservoirMeta:
 
 @dataclass
 class Reservoir:
-    """A fixed recurrent network plus its input and feedback weights."""
+    """A fixed recurrent network plus its input and feedback weights.
+
+    The spectrum of ``W`` is kept once known: generators store the one their
+    normalization computed, and ``eigenvalues()`` computes it otherwise.
+    Assigning a new ``W`` drops it; editing ``W`` in place (``W.data``) is
+    unsupported, because the stored spectrum would go stale.
+    """
 
     W: sp.csr_array
     w_in: np.ndarray
     w_ofb: np.ndarray
     meta: ReservoirMeta
+    _spectrum: np.ndarray | None = field(default=None, init=False, repr=False,
+                                         compare=False)
+
+    def __setattr__(self, name, value):
+        if name == "W":
+            object.__setattr__(self, "_spectrum", None)
+        object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
         return self.W.shape[0]
+
+    def eigenvalues(self) -> np.ndarray:
+        """Complex spectrum of ``W``, computed at most once per ``W``."""
+        if self._spectrum is None:
+            self._spectrum = spectral.eigenvalues(self.W)
+        return self._spectrum
 
     def dense(self) -> np.ndarray:
         return self.W.toarray()
@@ -137,9 +167,11 @@ def _finalize(W, *, family: str, avg_degree: float, seed: SeedLike | None,
     W.eliminate_zeros()
     n = W.shape[0]
     warnings_ = list(warnings_ or [])
+    spectrum = None
     if normalization is not None:
         try:
-            W = sp.csr_array(normalization.apply(W))
+            W, spectrum = normalization.apply(W)
+            W = sp.csr_array(W)
         except DegenerateSpectrumError:
             # Tiny/empty graphs can be nilpotent; keep them unscaled.
             warnings_.append("degenerate spectrum; normalization skipped")
@@ -161,7 +193,9 @@ def _finalize(W, *, family: str, avg_degree: float, seed: SeedLike | None,
         params=dict(params or {}),
         warnings=warnings_,
     )
-    return Reservoir(W=W, w_in=w_in, w_ofb=w_ofb, meta=meta)
+    reservoir = Reservoir(W=W, w_in=w_in, w_ofb=w_ofb, meta=meta)
+    reservoir._spectrum = spectrum
+    return reservoir
 
 
 def _offdiag_positions(rng: np.random.Generator, n: int, count: int):
@@ -427,8 +461,12 @@ def gen_combined(n: int, connectivity: float,
         raise ParameterError(f"unknown l1_mode {l1_mode!r}")
     if not 0 < connectivity <= 1:
         raise ParameterError("connectivity must lie in (0, 1]")
-    cycle_density = {int(length): float(r) for length, r in cycle_density.items()
-                     if r != 0.0}
+    try:
+        cycle_density = {int(length): float(r)
+                         for length, r in cycle_density.items() if r != 0.0}
+    except (AttributeError, TypeError, ValueError):
+        raise ParameterError("cycle_density must map integer cycle lengths to "
+                             f"numbers, got {cycle_density!r}") from None
     for length, r in cycle_density.items():
         if length < 1:
             raise ParameterError("cycle lengths must be >= 1")
@@ -538,16 +576,29 @@ _FAMILY_BUILDERS = {
 }
 
 
+_NUMBER_TYPES = {"int": (int, np.integer),
+                 "float": (int, float, np.integer, np.floating)}
+
+
 def make_reservoir(family: str, **kwargs) -> Reservoir:
     """Dispatch to a generator by family name (config-driven entry point)."""
     try:
         builder = _FAMILY_BUILDERS[family.upper()]
     except KeyError:
         raise ParameterError(f"unknown reservoir family {family!r}") from None
+    signature = inspect.signature(builder)
     try:
-        inspect.signature(builder).bind(**kwargs)
+        signature.bind(**kwargs)
     except TypeError as exc:
         raise ParameterError(f"{family} reservoir config: {exc}") from None
+    for key, value in kwargs.items():
+        # Annotations are strings here (postponed evaluation).
+        kind = signature.parameters[key].annotation
+        if kind in _NUMBER_TYPES and (isinstance(value, bool) or
+                                      not isinstance(value, _NUMBER_TYPES[kind])):
+            raise ParameterError(
+                f"{family} reservoir config: {key!r} must be {kind}, "
+                f"got {value!r}")
     return builder(**kwargs)
 
 

@@ -119,6 +119,26 @@ def _scaled(W, factor: float):
     return np.asarray(W, dtype=float) * factor
 
 
+#: The statistic of the eigenvalue moduli that each normalization mode sets.
+_STATISTICS = {"spectral_radius": np.max, "avg_modulus": np.mean}
+
+
+def _rescale(W, mode: str, target: float):
+    """Rescale ``W`` so the ``mode`` statistic of its spectrum equals ``target``.
+
+    Returns the rescaled matrix and its spectrum. Eigenvalues scale linearly
+    with the matrix, so that spectrum is the input's times the same factor
+    and needs no second decomposition.
+    """
+    A = _as_dense(W)
+    vals = eigenvalues(A)
+    stat = float(_STATISTICS[mode](np.abs(vals)))
+    if stat <= 1e-12 * max(np.linalg.norm(A), 1.0):
+        raise DegenerateSpectrumError(f"{mode} is zero; cannot rescale")
+    factor = target / stat
+    return _scaled(W, factor), vals * factor
+
+
 def normalize_spectral_radius(W, alpha: float):
     """Rescale ``W`` so its spectral radius equals ``alpha``.
 
@@ -126,11 +146,7 @@ def normalize_spectral_radius(W, alpha: float):
     """
     if alpha <= 0:
         raise ParameterError("alpha must be positive")
-    rho = spectral_radius(W)
-    norm = np.linalg.norm(_as_dense(W))
-    if rho <= 1e-12 * max(norm, 1.0):
-        raise DegenerateSpectrumError("spectral radius is zero; cannot rescale")
-    return _scaled(W, alpha / rho)
+    return _rescale(W, "spectral_radius", alpha)[0]
 
 
 def normalize_avg_modulus(W, target: float):
@@ -141,11 +157,7 @@ def normalize_avg_modulus(W, target: float):
     """
     if target <= 0:
         raise ParameterError("target must be positive")
-    mean_mod = avg_modulus(W)
-    norm = np.linalg.norm(_as_dense(W))
-    if mean_mod <= 1e-12 * max(norm, 1.0):
-        raise DegenerateSpectrumError("spectrum is identically zero; cannot rescale")
-    return _scaled(W, target / mean_mod)
+    return _rescale(W, "avg_modulus", target)[0]
 
 
 def _modulus_histogram(moduli: np.ndarray, n_bins: int) -> list[tuple[float, float]]:

@@ -13,6 +13,21 @@ def rng():
     return np.random.default_rng(1234)
 
 
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Shapes of the dense eigendecompositions (``numpy.linalg.eigvals``
+    calls) made while the test runs."""
+    calls = []
+    real = np.linalg.eigvals
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    return calls
+
+
 _AC_PATTERN = re.compile(r"test_ac(\d+)_(\w+)")
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from esnkit import adapt
 from esnkit.adapt import (
     AdaptationResult,
     ResponseTable,
@@ -89,6 +90,17 @@ class TestBuildResponseTable:
         assert json.loads(index.read_text())["seed"] == 3
         assert list(tmp_path.iterdir()) == [cached]
 
+    def test_other_table_format_is_a_cache_miss(self, tmp_path, monkeypatch):
+        kwargs = dict(lengths=(1,), density_grid=(0.0,), n_instances=1,
+                      seed=3, T=128, cache_dir=tmp_path)
+        with monkeypatch.context() as m:
+            m.setattr(adapt, "_TABLE_FORMAT", adapt._TABLE_FORMAT + 1)
+            build_response_table(GEN, **kwargs)
+        (other,) = tmp_path.glob("response_table_*")
+        build_response_table(GEN, **kwargs)
+        tables = sorted(tmp_path.glob("response_table_*"))
+        assert len(tables) == 2 and other in tables
+
     def test_interrupted_save_leaves_no_table(self, small_table, tmp_path,
                                               monkeypatch):
         def crash(path, *args, **kwargs):
@@ -101,6 +113,12 @@ class TestBuildResponseTable:
         with pytest.raises(KeyboardInterrupt):
             small_table.save(tmp_path / "table")
         assert list(tmp_path.iterdir()) == []
+
+    def test_normalization_without_value_rejected(self):
+        gen = dict(GEN, normalization={"mode": "avg_modulus"})
+        with pytest.raises(ParameterError, match="value"):
+            build_response_table(gen, lengths=(1,), density_grid=(0.0,),
+                                 n_instances=1, T=128)
 
     def test_grid_validation(self):
         with pytest.raises(ParameterError):

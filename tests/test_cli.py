@@ -95,6 +95,23 @@ class TestErrors:
         assert err["error"] == "ParameterError"
         assert "bogus" in err["message"]
 
+    @pytest.mark.parametrize("reservoir, key", [
+        ({"family": "CYCLE", "n": 20, "connectivity": 0.2,
+          "cycle_density": {"a": 0.1}}, "cycle_density"),
+        ({"family": "ER", "n": 20, "avg_degree": 4,
+          "normalization": {"mode": "spectral_radius"}}, "value"),
+        ({"family": "ER", "n": 20, "avg_degree": 4,
+          "normalization": "radius"}, "normalization"),
+        ({"family": "ER", "n": "20", "avg_degree": 4}, "'n'"),
+    ], ids=["cycle_density_key", "normalization_value", "normalization_string",
+            "string_n"])
+    def test_malformed_reservoir_value(self, tmp_path, capsys, reservoir, key):
+        cfg = write_config(tmp_path, "g.json", {"reservoir": reservoir})
+        assert run_cli("generate", "-c", cfg, "-o", tmp_path / "o") == 2
+        err = self.single_error_line(capsys)
+        assert err["error"] == "ParameterError"
+        assert key in err["message"]
+
     def test_malformed_matrix_market(self, tmp_path, capsys):
         path = tmp_path / "bad.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real general\n"
@@ -121,6 +138,16 @@ class TestMemoryCommand:
         for member in doc["members"]:
             assert 0 <= member["total"] <= 20
         assert (out / "memory.csv").read_text().startswith("# config_hash=")
+
+    def test_one_decomposition_per_member(self, tmp_path, eig_calls):
+        cfg = write_config(tmp_path, "m.json", {
+            "reservoir": {"family": "ER", "n": 30, "avg_degree": 5},
+            "ensemble": 2, "T": 600, "tau_max": 10})
+        assert run_cli("memory", "-c", cfg, "-o", tmp_path / "mem") == 0
+        assert eig_calls == [(30, 30), (30, 30)]
+        doc = read_json(tmp_path / "mem" / "memory.json")
+        for member in doc["members"]:
+            assert member["avg_modulus"] > 0
 
 
 class TestPsdCommand:
@@ -184,6 +211,16 @@ class TestBenchmarkCommand:
         run_cli("benchmark", "-c", cfg, "-o", parallel, "--workers", 2)
         assert (serial / "results.csv").read_bytes() == \
             (parallel / "results.csv").read_bytes()
+
+    def test_one_decomposition_per_member(self, tmp_path, eig_calls):
+        cfg = write_config(tmp_path, "b.json", {
+            "task": {"name": "sine-mixture", "seed": 1, "length": 1200},
+            "reservoir": {"family": "ER", "n": 25},
+            "sweep": {"param": "alpha", "values": [0.5, 0.9]},
+            "ensemble": 2})
+        assert run_cli("benchmark", "-c", cfg, "-o", tmp_path / "b",
+                       "--workers", 1) == 0
+        assert eig_calls == [(25, 25)] * 4
 
     def test_classification_task(self, tmp_path):
         cfg = write_config(tmp_path, "b.json", {

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose, assert_array_equal
 
+from esnkit import reservoirs
 from esnkit.errors import ParameterError
 from esnkit.reservoirs import (
     Normalization,
@@ -16,7 +17,14 @@ from esnkit.reservoirs import (
     make_reservoir,
     measure_cycle_density,
 )
-from esnkit.spectral import avg_modulus, eigenvalues, spectral_radius
+from esnkit.spectral import (
+    avg_modulus,
+    eigenvalues,
+    normalize_avg_modulus,
+    normalize_spectral_radius,
+    spectral_radius,
+)
+from esnkit.storage import load_reservoir, save_reservoir
 from oracles import cycle_density_longhand, spectra_distance
 
 
@@ -336,6 +344,91 @@ class TestMakeReservoir:
     def test_unknown_family(self):
         with pytest.raises(ParameterError):
             make_reservoir("smallworld", n=10)
+
+    @pytest.mark.parametrize("key, value", [("n", "20"), ("n", 20.0),
+                                            ("avg_degree", "4"),
+                                            ("n", True)])
+    def test_non_numeric_parameter_named(self, key, value):
+        kwargs = dict(n=20, avg_degree=4, seed=0)
+        kwargs[key] = value
+        with pytest.raises(ParameterError, match=repr(key)):
+            make_reservoir("ER", **kwargs)
+
+
+# Every normalized family, keyed by a label; each builder takes
+# (normalization, seed).
+NORMALIZED_BUILDERS = {
+    "ER": lambda norm, seed: gen_er(60, 6, seed, norm),
+    "SF": lambda norm, seed: gen_scale_free(60, 6, 3.0, seed, norm),
+    "PLW": lambda norm, seed: gen_plw(60, 6, 3.0, seed, norm),
+    "RR": lambda norm, seed: gen_random_regular(60, 4, seed, norm),
+    "CYCLE-weight_mix": lambda norm, seed: gen_combined(
+        60, 0.1, {1: 0.3, 2: -0.2, 3: 0.2}, seed, norm, l1_mode="weight_mix"),
+    "CYCLE-edge_count": lambda norm, seed: gen_combined(
+        60, 0.1, {1: 0.05, 2: -0.2, 3: 0.2}, seed, norm, l1_mode="edge_count"),
+}
+# gen_combined also normalizes its random part and, for weight_mix
+# self-loops, its sparse part before the final normalization.
+DECOMPOSITIONS = {"CYCLE-weight_mix": 3, "CYCLE-edge_count": 2}
+NORMALIZE = {"spectral_radius": normalize_spectral_radius,
+             "avg_modulus": normalize_avg_modulus}
+
+
+class TestStoredSpectrum:
+    @pytest.mark.parametrize("family", sorted(NORMALIZED_BUILDERS))
+    @pytest.mark.parametrize("mode", sorted(NORMALIZE))
+    def test_matches_fresh_decomposition(self, family, mode, eig_calls):
+        for seed in range(3):
+            res = NORMALIZED_BUILDERS[family](Normalization(mode, 0.7), seed)
+            stored = np.abs(res.eigenvalues())
+            fresh = np.abs(eigenvalues(res.W))
+            assert_allclose(stored.max(), fresh.max(), rtol=1e-12)
+            assert_allclose(stored.mean(), fresh.mean(), rtol=1e-12)
+        # one fresh decomposition per reservoir on top of generation's own
+        assert len(eig_calls) == 3 * (DECOMPOSITIONS.get(family, 1) + 1)
+
+    @pytest.mark.parametrize("family", sorted(NORMALIZED_BUILDERS))
+    @pytest.mark.parametrize("mode", sorted(NORMALIZE))
+    def test_matrix_equals_normalized_raw_output(self, family, mode,
+                                                 monkeypatch):
+        res = NORMALIZED_BUILDERS[family](Normalization(mode, 0.7), 4)
+        # gen_combined falls back to its default when given None
+        monkeypatch.setattr(reservoirs, "DEFAULT_CYCLE_NORMALIZATION", None)
+        raw = NORMALIZED_BUILDERS[family](None, 4)
+        assert raw.meta.normalization is None
+        expected = NORMALIZE[mode](raw.W, 0.7)
+        assert_array_equal(res.W.toarray(), expected.toarray())
+        assert_array_equal(res.W.indices, expected.indices)
+        assert_array_equal(res.w_in, raw.w_in)
+
+    def test_reassigning_w_recomputes(self, eig_calls):
+        res = gen_er(40, 5, seed=2, normalization=Normalization("spectral_radius", 0.5))
+        assert np.abs(res.eigenvalues()).max() == pytest.approx(0.5, rel=1e-12)
+        res.W = res.W * 3.0
+        assert np.abs(res.eigenvalues()).max() == pytest.approx(1.5, rel=1e-12)
+        res.eigenvalues()
+        assert len(eig_calls) == 2
+
+    def test_unnormalized_and_degenerate_compute_once(self, eig_calls):
+        ring = gen_delay_line(12, 0.9)
+        assert_allclose(np.abs(ring.eigenvalues()), 0.9, rtol=1e-12)
+        nilpotent = gen_er(2, 0.5, seed=1)
+        assert nilpotent.meta.warnings == [
+            "degenerate spectrum; normalization skipped"]
+        calls_before = len(eig_calls)
+        assert_allclose(nilpotent.eigenvalues(), 0.0)
+        nilpotent.eigenvalues()
+        ring.eigenvalues()
+        assert len(eig_calls) == calls_before + 1
+
+    def test_loaded_reservoir_computes_lazily(self, tmp_path, eig_calls):
+        res = gen_er(30, 4, seed=9)
+        save_reservoir(res, tmp_path / "res")
+        loaded = load_reservoir(tmp_path / "res.json")
+        calls_before = len(eig_calls)
+        assert_allclose(np.abs(loaded.eigenvalues()).max(), 1.0, rtol=1e-12)
+        loaded.eigenvalues()
+        assert len(eig_calls) == calls_before + 1
 
 
 def test_scale_free_modulus_trend():
