@@ -12,10 +12,8 @@ from .errors import EsnKitError
 from .esn import (
     EsnRun,
     TrainedReadout,
-    classify_by_forecast,
     forecast_free_run,
     run_teacher_forced,
-    step,
     train_readout,
 )
 from .metrics import (
@@ -53,7 +51,6 @@ from .spectral import (
     SpectrumReport,
     avg_modulus,
     eigenvalues,
-    modulus_density,
     normalize_avg_modulus,
     normalize_spectral_radius,
     spectral_radius,

@@ -9,10 +9,11 @@ import numpy as np
 
 from .errors import DivergenceError
 from .esn import (
+    _best_class,
     _fit_readout,
+    _one_step_blocks,
     forecast_free_run,
     run_teacher_forced,
-    score_against_classes,
     train_class_readouts,
 )
 from .metrics import nrmse
@@ -116,15 +117,12 @@ def classification_benchmark(bundle: TaskBundle, reservoir: Reservoir, *,
     """Failure rate of classification-by-forecasting over a bundle's test set."""
     readouts = train_class_readouts(bundle.train, reservoir,
                                     washout=bundle.washout, ridge=ridge)
-    failures = 0
-    total = 0
-    for label in sorted(bundle.test):
-        for series in bundle.test[label]:
-            predicted, _ = score_against_classes(readouts, series, reservoir,
-                                                 washout=bundle.washout)
-            failures += int(predicted != label)
-            total += 1
-    return failures / total
+    labels = [label for label in sorted(bundle.test) for _ in bundle.test[label]]
+    recordings = [s for label in sorted(bundle.test) for s in bundle.test[label]]
+    blocks = _one_step_blocks(reservoir, recordings, bundle.washout, "tanh")
+    failures = sum(_best_class(readouts, *block)[0] != label
+                   for label, block in zip(labels, blocks))
+    return failures / len(labels)
 
 
 def benchmark(bundle: TaskBundle, reservoir: Reservoir, *,

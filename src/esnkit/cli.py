@@ -30,9 +30,15 @@ from .adapt import (
     validate_and_combine,
 )
 from .benchmarks import benchmark, cycle_evaluator
-from .errors import ConfigError, DataError, EsnKitError, IngestionError
+from .errors import (
+    ConfigError,
+    DataError,
+    EsnKitError,
+    IngestionError,
+    ParameterError,
+)
 from .metrics import bin_by_lambda, memory_capacity
-from .reservoirs import _normalization_from_config, make_reservoir
+from .reservoirs import _family_key, _normalization_from_config, make_reservoir
 from .signals import periodogram, reservoir_response
 from .spectral import spectrum_report
 from .storage import (
@@ -92,14 +98,28 @@ def _load_config(args) -> dict:
     return cfg
 
 
+def _number(cfg: dict, key: str, kind: type, default):
+    """``kind(cfg[key])``, or ``default`` when the field is absent or null;
+    a value that does not convert is a config error naming the field."""
+    value = cfg.get(key)
+    if value is None:
+        return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ParameterError(f"config field {key!r} must be {kind.__name__}, "
+                             f"got {value!r}") from None
+
+
 def _file_sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(outdir: Path, command: str, cfg: dict,
-                    started: float) -> None:
-    outputs = {p.name: _file_sha256(p) for p in sorted(outdir.iterdir())
-               if p.is_file() and p.name != "manifest.json"}
+def _write_manifest(outdir: Path, command: str, cfg: dict, started: float,
+                    written: list[Path]) -> None:
+    """Record the run next to the checksums of the files it wrote; other
+    files already in ``outdir`` are not part of this run."""
+    outputs = {p.name: _file_sha256(p) for p in sorted(written)}
     write_json({
         "command": command,
         "config": cfg,
@@ -133,7 +153,7 @@ def reservoir_from_config(cfg: dict, seed):
     norm = cfg.pop("normalization", None)
     if norm is not None:
         cfg["normalization"] = _normalization_from_config(norm)
-    if family.upper() != "DELAY_LINE":
+    if _family_key(family) != "DELAY_LINE":
         cfg["seed"] = seed
     return make_reservoir(family, **cfg)
 
@@ -187,8 +207,8 @@ def cmd_generate(args) -> int:
     outdir = _outdir(args)
     res_cfg = cfg["reservoir"]
     reservoir = reservoir_from_config(res_cfg, res_cfg.get("seed", 0))
-    save_reservoir(reservoir, outdir / "reservoir")
-    _write_manifest(outdir, "generate", cfg, started)
+    written = save_reservoir(reservoir, outdir / "reservoir")
+    _write_manifest(outdir, "generate", cfg, started, list(written))
     print(f"wrote reservoir ({reservoir.meta.family}, n={reservoir.n}) "
           f"to {outdir}")
     return 0
@@ -206,8 +226,8 @@ def cmd_spectrum(args) -> int:
     doc = spectrum_to_dict(report)
     doc["source"] = path.name
     write_json(doc, outdir / "spectrum.json")
-    _write_manifest(outdir, "spectrum", {"matrix": str(path),
-                                         "bins": args.bins}, started)
+    _write_manifest(outdir, "spectrum", {"matrix": str(path), "bins": args.bins},
+                    started, [outdir / "spectrum.json"])
     print(f"spectral_radius={report.spectral_radius:.6f} "
           f"avg_modulus={report.avg_modulus:.6f}")
     return 0
@@ -219,15 +239,17 @@ def cmd_memory(args) -> int:
     if "reservoir" not in cfg:
         raise ConfigError("config must contain a 'reservoir' section")
     outdir = _outdir(args)
-    ensemble = int(cfg.get("ensemble", 1))
-    seed_base = int(cfg.get("seed_base", 0))
+    ensemble = _number(cfg, "ensemble", int, 1)
+    seed_base = _number(cfg, "seed_base", int, 0)
+    T = _number(cfg, "T", int, 4000)
+    tau_max = _number(cfg, "tau_max", int, None)
     rows = []
     for member in range(ensemble):
         reservoir = reservoir_from_config(cfg["reservoir"], [seed_base, member])
         profile = memory_capacity(
             reservoir,
-            T=int(cfg.get("T", 4000)),
-            tau_max=cfg.get("tau_max"),
+            T=T,
+            tau_max=tau_max,
             seed=[seed_base, member, 1],
             input_kind=cfg.get("input_kind", "uniform"),
         )
@@ -243,7 +265,8 @@ def cmd_memory(args) -> int:
         for doc in rows:
             fh.write(f"{doc['member']},{doc['avg_modulus']:.8f},"
                      f"{doc['total']:.8f}\n")
-    _write_manifest(outdir, "memory", cfg, started)
+    _write_manifest(outdir, "memory", cfg, started,
+                    [outdir / "memory.json", outdir / "memory.csv"])
     totals = [doc["total"] for doc in rows]
     print(f"memory capacity over {ensemble} members: "
           f"median={np.median(totals):.3f}")
@@ -274,7 +297,8 @@ def cmd_psd(args) -> int:
     doc = psd_to_dict(profile)
     doc["source"] = source
     write_json(doc, outdir / "psd.json")
-    _write_manifest(outdir, "psd", source, started)
+    _write_manifest(outdir, "psd", source, started,
+                    [outdir / "psd.csv", outdir / "psd.json"])
     print(f"wrote {outdir / 'psd.csv'} ({len(profile.freqs)} bins)")
     return 0
 
@@ -299,7 +323,7 @@ def cmd_benchmark(args) -> int:
     base_cfg = dict(cfg["reservoir"])
     defaults = bundle.esn_defaults
     base_cfg.setdefault("n", defaults.n)
-    if base_cfg.get("family", "ER").upper() in ("ER", "SF", "PLW"):
+    if _family_key(base_cfg.get("family", "ER")) in ("ER", "SF", "PLW"):
         base_cfg.setdefault("avg_degree", defaults.avg_degree)
         base_cfg.setdefault("normalization",
                             {"mode": "spectral_radius", "value": defaults.alpha})
@@ -311,9 +335,10 @@ def cmd_benchmark(args) -> int:
                   for i, v in enumerate(sweep["values"])]
     else:
         points = [(0, None, None)]
-    ensemble = int(cfg.get("ensemble", 1))
-    seed_base = int(cfg.get("seed_base", 0))
-    ridge = float(cfg.get("ridge", 1e-8))
+    ensemble = _number(cfg, "ensemble", int, 1)
+    seed_base = _number(cfg, "seed_base", int, 0)
+    ridge = _number(cfg, "ridge", float, 1e-8)
+    n_bins = _number(cfg, "bins", int, 10)
 
     payloads = []
     for sweep_idx, param, value in points:
@@ -340,7 +365,6 @@ def cmd_benchmark(args) -> int:
     points_xy = [(r[3], r[4]) for r in results if np.isfinite(r[4])]
     report = {"config_hash": chash, "task": bundle.name,
               "n_runs": len(results)}
-    n_bins = int(cfg.get("bins", 10))
     if len(points_xy) >= n_bins:
         report["bins"] = [asdict(b) for b in bin_by_lambda(points_xy, n_bins)]
     by_sweep: dict[float, list[float]] = {}
@@ -349,7 +373,8 @@ def cmd_benchmark(args) -> int:
     report["per_sweep_median"] = {
         str(v): float(np.median(scores)) for v, scores in by_sweep.items()}
     write_json(report, outdir / "benchmark.json")
-    _write_manifest(outdir, "benchmark", cfg, started)
+    _write_manifest(outdir, "benchmark", cfg, started,
+                    [outdir / "results.csv", outdir / "benchmark.json"])
     print(f"{bundle.name}: {len(results)} runs, "
           f"median performance {np.median([r[4] for r in results]):.4f}")
     return 0
@@ -365,7 +390,10 @@ def cmd_adapt(args) -> int:
     if isinstance(bundle.train, dict):
         raise ConfigError("adaptation expects a forecasting task")
     defaults = bundle.esn_defaults
-    mean_modulus = float(cfg.get("mean_modulus", 0.6))
+    mean_modulus = _number(cfg, "mean_modulus", float, 0.6)
+    ridge = _number(cfg, "ridge", float, 1e-8)
+    n_seeds = _number(cfg, "n_seeds", int, 20)
+    seed_base = _number(cfg, "seed_base", int, 0)
     gen_params = dict(cfg.get("gen_params", {}))
     gen_params.setdefault("n", defaults.n)
     gen_params.setdefault("connectivity", 2.0 * defaults.avg_degree / defaults.n)
@@ -378,21 +406,18 @@ def cmd_adapt(args) -> int:
         gen_params,
         lengths=tuple(cfg.get("lengths", (1, 2, 3))),
         density_grid=tuple(cfg.get("density_grid", DEFAULT_DENSITY_GRID)),
-        n_instances=int(cfg.get("n_instances", 10)),
-        seed=int(cfg.get("table_seed", 0)),
-        T=int(cfg.get("response_samples", 1024)),
+        n_instances=_number(cfg, "n_instances", int, 10),
+        seed=_number(cfg, "table_seed", int, 0),
+        T=_number(cfg, "response_samples", int, 1024),
         match=(float(np.mean(signal)), float(np.var(signal))),
         cache_dir=_cache_dir(args),
     )
     matched = match_signal(table, signal)
 
-    ridge = float(cfg.get("ridge", 1e-8))
-    n_seeds = int(cfg.get("n_seeds", 20))
     evaluate = cycle_evaluator(bundle, mean_modulus=mean_modulus, ridge=ridge)
-    baseline = evaluate({}, [[int(cfg.get("seed_base", 0)), i]
-                             for i in range(n_seeds)])
+    baseline = evaluate({}, [[seed_base, i] for i in range(n_seeds)])
     result = validate_and_combine(matched, evaluate, baseline, n_seeds,
-                                  seed_base=int(cfg.get("seed_base", 0)))
+                                  seed_base=seed_base)
 
     report = {
         "config_hash": config_hash(cfg),
@@ -411,7 +436,7 @@ def cmd_adapt(args) -> int:
         "fallback": result.fallback,
     }
     write_json(report, outdir / "adaptation.json")
-    _write_manifest(outdir, "adapt", cfg, started)
+    _write_manifest(outdir, "adapt", cfg, started, [outdir / "adaptation.json"])
     print(f"adaptation for {bundle.name}: combined={result.combined} "
           f"fallback={result.fallback}")
     return 0

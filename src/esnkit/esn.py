@@ -27,12 +27,10 @@ from .reservoirs import Reservoir
 __all__ = [
     "EsnRun",
     "TrainedReadout",
-    "step",
     "run_teacher_forced",
     "train_readout",
     "forecast_free_run",
     "train_class_readouts",
-    "classify_by_forecast",
     "DIVERGENCE_LIMIT",
 ]
 
@@ -55,14 +53,12 @@ def _activation(name: str) -> Callable[[np.ndarray], np.ndarray]:
 class EsnRun:
     """Recorded trajectory of a driven reservoir.
 
-    ``states[t]`` is the neuron state after consuming ``inputs[t]``;
-    ``outputs`` holds whatever was fed back (the teacher during training).
+    ``states[t]`` is the neuron state after consuming ``inputs[t]``.
     The first ``washout`` rows are transient and excluded from fits.
     """
 
     states: np.ndarray
     inputs: np.ndarray
-    outputs: np.ndarray
     washout: int
 
     def design_matrix(self) -> np.ndarray:
@@ -79,23 +75,43 @@ class TrainedReadout:
     train_nrmse: float
 
 
-def step(reservoir: Reservoir, x_prev: np.ndarray, u: float,
-         y_prev: float = 0.0, activation: str = "tanh") -> np.ndarray:
-    """Advance the reservoir state by one time step."""
-    x_prev = np.asarray(x_prev, dtype=float)
-    if x_prev.shape != (reservoir.n,):
-        raise DimensionError(
-            f"state has shape {x_prev.shape}, expected ({reservoir.n},)")
-    f = _activation(activation)
-    z = reservoir.W @ x_prev + reservoir.w_in * u + reservoir.w_ofb * y_prev
-    return f(z)
-
-
 def _recurrence_operator(reservoir: Reservoir):
     W = reservoir.W
     if reservoir.n <= _DENSE_CUTOFF:
         return reservoir.dense()
     return sp.csr_matrix(W)
+
+
+def _drive(reservoir: Reservoir, feed: np.ndarray,
+           activation: str) -> np.ndarray:
+    """Open-loop recursion ``x(t) = f(W x(t-1) + feed[t])`` from ``x = 0``.
+
+    ``feed`` is ``(T, n)`` for one run or ``(T, B, n)`` for B independent
+    runs on the same reservoir; the states come back in the same shape.
+    A single run keeps a 1-D state, so ``x @ W.T`` stays a matrix-vector
+    product, bitwise equal to ``W @ x``; a ``(1, n)`` batch would go
+    through a matrix-matrix product, which rounds differently.
+    """
+    f = _activation(activation)
+    Wt = _recurrence_operator(reservoir).T
+    states = np.empty_like(feed)
+    x = np.zeros(feed.shape[1:])
+    for t in range(len(feed)):
+        x = f(x @ Wt + feed[t])
+        states[t] = x
+    return states
+
+
+def _checked_input(inputs, washout: int) -> np.ndarray:
+    """One input series as floats, after the checks every run makes."""
+    u = np.asarray(inputs, dtype=float)
+    if u.ndim != 1:
+        raise DimensionError("inputs must be one-dimensional")
+    if not np.isfinite(u).all():
+        raise DomainError("inputs contain non-finite values")
+    if not 0 <= washout < len(u):
+        raise ParameterError("washout must satisfy 0 <= washout < len(inputs)")
+    return u
 
 
 def run_teacher_forced(reservoir: Reservoir, inputs: np.ndarray,
@@ -108,16 +124,7 @@ def run_teacher_forced(reservoir: Reservoir, inputs: np.ndarray,
     feedback weights the teacher is ignored entirely, so runs are
     teacher-independent in that case.
     """
-    u = np.asarray(inputs, dtype=float)
-    if u.ndim != 1:
-        raise DimensionError("inputs must be one-dimensional")
-    if not np.isfinite(u).all():
-        raise DomainError("inputs contain non-finite values")
-    T = len(u)
-    if not 0 <= washout < T:
-        raise ParameterError("washout must satisfy 0 <= washout < len(inputs)")
-
-    n = reservoir.n
+    u = _checked_input(inputs, washout)
     feed = u[:, None] * reservoir.w_in[None, :]
     has_feedback = np.any(reservoir.w_ofb != 0.0)
     if has_feedback and teacher is not None:
@@ -126,18 +133,8 @@ def run_teacher_forced(reservoir: Reservoir, inputs: np.ndarray,
             raise DimensionError("teacher length must match inputs")
         y_prev = np.concatenate([[0.0], y[:-1]])
         feed += y_prev[:, None] * reservoir.w_ofb[None, :]
-
-    f = _activation(activation)
-    W = _recurrence_operator(reservoir)
-    states = np.empty((T, n))
-    x = np.zeros(n)
-    for t in range(T):
-        x = f(W @ x + feed[t])
-        states[t] = x
-
-    outputs = (np.asarray(teacher, dtype=float)
-               if teacher is not None else np.zeros(T))
-    return EsnRun(states=states, inputs=u, outputs=outputs, washout=washout)
+    return EsnRun(states=_drive(reservoir, feed, activation), inputs=u,
+                  washout=washout)
 
 
 def solve_ridge(design: np.ndarray, target: np.ndarray, ridge: float) -> np.ndarray:
@@ -224,18 +221,23 @@ def forecast_free_run(reservoir: Reservoir, readout: TrainedReadout,
     return ys
 
 
-def _one_step_blocks(reservoir: Reservoir, series: np.ndarray, washout: int,
-                     activation: str) -> tuple[np.ndarray, np.ndarray]:
-    """Design rows and next-step targets for a single recording.
+def _one_step_blocks(reservoir: Reservoir, recordings: Sequence[np.ndarray],
+                     washout: int, activation: str
+                     ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Design rows and next-step targets for each recording, in order.
 
-    The reservoir state is re-zeroed for every recording.
+    The reservoir state is re-zeroed for every recording; recordings of
+    equal length are driven as one batch.
     """
-    run = run_teacher_forced(reservoir, series, washout=washout,
-                             activation=activation)
-    hi = len(series) - 1
-    design = np.column_stack([run.states[washout:hi], series[washout:hi]])
-    target = series[washout + 1:hi + 1]
-    return design, target
+    series = [_checked_input(s, washout) for s in recordings]
+    states: dict[int, np.ndarray] = {}
+    for length in {len(s) for s in series}:
+        members = [i for i, s in enumerate(series) if len(s) == length]
+        u = np.stack([series[i] for i in members], axis=1)
+        batch = _drive(reservoir, u[:, :, None] * reservoir.w_in, activation)
+        states.update(zip(members, batch.swapaxes(0, 1)))
+    return [(np.column_stack([states[i][washout:-1], s[washout:-1]]),
+             s[washout + 1:]) for i, s in enumerate(series)]
 
 
 def train_class_readouts(train_sets: Mapping[int, Sequence[np.ndarray]],
@@ -251,9 +253,7 @@ def train_class_readouts(train_sets: Mapping[int, Sequence[np.ndarray]],
         recordings = train_sets[label]
         if len(recordings) == 0:
             raise ParameterError(f"class {label!r} has no training recordings")
-        blocks = [_one_step_blocks(reservoir, np.asarray(s, dtype=float),
-                                   washout, activation)
-                  for s in recordings]
+        blocks = _one_step_blocks(reservoir, recordings, washout, activation)
         design = np.vstack([b[0] for b in blocks])
         target = np.concatenate([b[1] for b in blocks])
         if design.shape[0] < n_features + 1:
@@ -262,6 +262,16 @@ def train_class_readouts(train_sets: Mapping[int, Sequence[np.ndarray]],
                 f"({design.shape[0]} rows for {n_features} features)")
         readouts[label] = _fit_readout(design, target, design[:, -1], ridge)
     return readouts
+
+
+def _best_class(readouts: Mapping[int, TrainedReadout], design: np.ndarray,
+                target: np.ndarray) -> tuple[int, dict[int, float]]:
+    """Winning label and per-class errors for one recording's design block,
+    normalized by the recording's own input column."""
+    scores = {label: nrmse(design @ readouts[label].w_out, target, design[:, -1])
+              for label in sorted(readouts)}
+    best = min(sorted(scores), key=lambda lbl: scores[lbl])
+    return best, scores
 
 
 def score_against_classes(readouts: Mapping[int, TrainedReadout],
@@ -274,22 +284,5 @@ def score_against_classes(readouts: Mapping[int, TrainedReadout],
     lowest error (normalized by the test series itself); exact ties go to
     the lowest class label.
     """
-    series = np.asarray(test, dtype=float)
-    design, target = _one_step_blocks(reservoir, series, washout, activation)
-    normalizer = series[washout:len(series) - 1]
-    scores: dict[int, float] = {}
-    for label in sorted(readouts):
-        pred = design @ readouts[label].w_out
-        scores[label] = nrmse(pred, target, normalizer)
-    best = min(sorted(scores), key=lambda lbl: scores[lbl])
-    return best, scores
-
-
-def classify_by_forecast(train_sets: Mapping[int, Sequence[np.ndarray]],
-                         test: np.ndarray, reservoir: Reservoir, *,
-                         washout: int = 5, ridge: float = 1e-8,
-                         activation: str = "tanh") -> tuple[int, dict[int, float]]:
-    """Train per-class readouts and classify ``test`` in one call."""
-    readouts = train_class_readouts(train_sets, reservoir, washout, ridge,
-                                    activation)
-    return score_against_classes(readouts, test, reservoir, washout, activation)
+    [block] = _one_step_blocks(reservoir, [test], washout, activation)
+    return _best_class(readouts, *block)

@@ -580,10 +580,18 @@ _NUMBER_TYPES = {"int": (int, np.integer),
                  "float": (int, float, np.integer, np.floating)}
 
 
+def _family_key(family) -> str:
+    """The upper-cased family name; a family that is not a string is a
+    config error."""
+    if not isinstance(family, str):
+        raise ParameterError(f"reservoir family must be a string, got {family!r}")
+    return family.upper()
+
+
 def make_reservoir(family: str, **kwargs) -> Reservoir:
     """Dispatch to a generator by family name (config-driven entry point)."""
     try:
-        builder = _FAMILY_BUILDERS[family.upper()]
+        builder = _FAMILY_BUILDERS[_family_key(family)]
     except KeyError:
         raise ParameterError(f"unknown reservoir family {family!r}") from None
     signature = inspect.signature(builder)

@@ -18,6 +18,7 @@ from .errors import (
     DomainError,
     ParameterError,
 )
+from .esn import _drive
 from .reservoirs import Reservoir, make_rng
 
 __all__ = [
@@ -88,24 +89,24 @@ def reservoir_response(reservoir: Reservoir, n_trials: int = 10,
     neuron over ``n_trials`` independent drives. Output feedback is not
     engaged (there is no readout).
     """
-    from .esn import run_teacher_forced
-
     if n_trials < 1:
         raise ParameterError("n_trials must be >= 1")
     mean, variance = match
     if variance <= 0:
         raise ParameterError("matched variance must be positive")
     std = float(np.sqrt(variance))
-    total = None
-    for trial in range(n_trials):
-        rng = make_rng(seed, trial)
-        drive = mean + std * rng.standard_normal(washout + T)
-        run = run_teacher_forced(reservoir, drive)
-        states = run.states[washout:]
-        if not np.isfinite(states).all():
-            raise DivergenceError("reservoir response diverged")
-        power = _psd_matrix(states).mean(axis=1)
-        total = power if total is None else total + power
+    drive = np.stack([mean + std * make_rng(seed, t).standard_normal(washout + T)
+                      for t in range(n_trials)], axis=1)
+    if not np.isfinite(drive).all():
+        raise DomainError("inputs contain non-finite values")
+    feed = drive[:, :, None] * reservoir.w_in
+    states = _drive(reservoir, feed, "tanh")[washout:]
+    if not np.isfinite(states).all():
+        raise DivergenceError("reservoir response diverged")
+    # Trial by trial: one transform of the whole batch would hold every
+    # trial's spectrum at once.
+    total = sum(_psd_matrix(states[:, trial]).mean(axis=1)
+                for trial in range(n_trials))
     return PsdProfile(freqs=np.fft.rfftfreq(T), power=total / n_trials,
                       n_averages=n_trials * reservoir.n)
 

@@ -28,7 +28,6 @@ __all__ = [
     "avg_modulus",
     "normalize_spectral_radius",
     "normalize_avg_modulus",
-    "modulus_density",
     "spectrum_report",
 ]
 
@@ -171,15 +170,6 @@ def _modulus_histogram(moduli: np.ndarray, n_bins: int) -> list[tuple[float, flo
     density = counts / (len(moduli) * widths)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return [(float(c), float(d)) for c, d in zip(centers, density)]
-
-
-def modulus_density(W, n_bins: int) -> list[tuple[float, float]]:
-    """Histogram of eigenvalue moduli over ``[0, spectral_radius]``.
-
-    Returns ``(bin_center, density)`` pairs whose bin-width-weighted sum
-    is exactly 1 for nonempty spectra.
-    """
-    return _modulus_histogram(np.abs(eigenvalues(W)), n_bins)
 
 
 @dataclass

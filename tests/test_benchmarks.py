@@ -9,6 +9,7 @@ from esnkit.benchmarks import (
     er_reservoir_for,
     forecast_benchmark,
 )
+from esnkit.esn import score_against_classes, train_class_readouts
 from esnkit.tasks import gen_synthetic_classification, sine_mixture_bundle
 
 
@@ -42,6 +43,24 @@ class TestClassificationBenchmark:
         rate = classification_benchmark(bundle, res)
         assert 0.0 <= rate <= 1.0
         assert benchmark(bundle, res) == rate
+
+    def test_matches_per_recording_scoring(self):
+        # the whole test set runs as batches of equal length; scoring each
+        # recording on its own is the reference
+        bundle = gen_synthetic_classification(6, 15, 40, seed=5,
+                                              test_per_class=6,
+                                              noise_sigma=1.0)
+        bundle.test = {label: [s[:30 + 2 * (i % 3)] for i, s in enumerate(rec)]
+                       for label, rec in bundle.test.items()}
+        res = er_reservoir_for(bundle, seed=6)
+        readouts = train_class_readouts(bundle.train, res,
+                                        washout=bundle.washout)
+        failures = [score_against_classes(readouts, s, res,
+                                          washout=bundle.washout)[0] != label
+                    for label, rec in bundle.test.items() for s in rec]
+        assert 0 < sum(failures) < len(failures)
+        assert classification_benchmark(bundle, res) == \
+            sum(failures) / len(failures)
 
 
 class TestCycleEvaluator:

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esnkit.cli import main
 from esnkit.storage import read_json
@@ -42,6 +48,19 @@ class TestGenerateSpectrumVerify:
         assert run_cli("generate", "-c", cfg, "-o", out) == 0
         (out / "reservoir.json").write_text("{}")
         assert run_cli("verify", out) == 2
+
+    def test_manifest_lists_only_written_files(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        stale = out / "old_results.csv"
+        stale.write_text("sweep_index,member\n0,0\n")
+        cfg = write_config(tmp_path, "gen.json", {
+            "reservoir": {"family": "ER", "n": 10, "avg_degree": 2, "seed": 1}})
+        assert run_cli("generate", "-c", cfg, "-o", out) == 0
+        outputs = read_json(out / "manifest.json")["outputs"]
+        assert set(outputs) == {"reservoir.mtx", "reservoir.json"}
+        stale.write_text("changed by a later run\n")
+        assert run_cli("verify", out) == 0
 
     def test_generate_determinism(self, tmp_path):
         cfg = write_config(tmp_path, "gen.json", {
@@ -103,14 +122,44 @@ class TestErrors:
         ({"family": "ER", "n": 20, "avg_degree": 4,
           "normalization": "radius"}, "normalization"),
         ({"family": "ER", "n": "20", "avg_degree": 4}, "'n'"),
+        ({"family": 5, "n": 20, "avg_degree": 4}, "family"),
     ], ids=["cycle_density_key", "normalization_value", "normalization_string",
-            "string_n"])
+            "string_n", "int_family"])
     def test_malformed_reservoir_value(self, tmp_path, capsys, reservoir, key):
         cfg = write_config(tmp_path, "g.json", {"reservoir": reservoir})
         assert run_cli("generate", "-c", cfg, "-o", tmp_path / "o") == 2
         err = self.single_error_line(capsys)
         assert err["error"] == "ParameterError"
         assert key in err["message"]
+
+    def test_non_string_family_in_benchmark(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "b.json", {
+            "task": {"name": "sine-mixture", "seed": 1, "length": 1200},
+            "reservoir": {"family": 5, "n": 20}})
+        assert run_cli("benchmark", "-c", cfg, "-o", tmp_path / "o",
+                       "--workers", 1) == 2
+        err = self.single_error_line(capsys)
+        assert err["error"] == "ParameterError"
+        assert "family" in err["message"]
+
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("memory", {"reservoir": {"family": "ER", "n": 20, "avg_degree": 4},
+                    "ensemble": "two"}, "ensemble"),
+        ("memory", {"reservoir": {"family": "ER", "n": 20, "avg_degree": 4},
+                    "T": 600, "tau_max": "ten"}, "tau_max"),
+        ("benchmark", {"task": {"name": "sine-mixture", "seed": 1, "length": 1200},
+                       "reservoir": {"family": "ER", "n": 20},
+                       "bins": [3]}, "bins"),
+        ("adapt", {"task": {"name": "sine-mixture", "seed": 3, "length": 2500},
+                   "n_seeds": "many"}, "n_seeds"),
+    ], ids=["memory_ensemble", "memory_tau_max", "benchmark_bins",
+            "adapt_n_seeds"])
+    def test_malformed_numeric_field(self, tmp_path, capsys, command, cfg, key):
+        path = write_config(tmp_path, "c.json", cfg)
+        assert run_cli(command, "-c", path, "-o", tmp_path / "o") == 2
+        err = self.single_error_line(capsys)
+        assert err["error"] == "ParameterError"
+        assert repr(key) in err["message"]
 
     def test_malformed_matrix_market(self, tmp_path, capsys):
         path = tmp_path / "bad.mtx"
@@ -126,6 +175,64 @@ class TestErrors:
         assert self.single_error_line(capsys)["error"] == "IngestionError"
 
 
+_ABSENT = object()
+
+
+def _valid_or(valid, other):
+    """Draws from ``valid`` half the time and from ``other`` otherwise."""
+    return st.booleans().flatmap(lambda ok: valid if ok else other)
+
+
+#: Reservoir configs around a valid ER config: each field is valid half the
+#: time, and otherwise another family name, a non-string family, a number
+#: of the wrong type or range, or a normalization of another shape.
+_NUMBERS = (st.integers(-2, 12) | st.floats(-3.0, 12.0)
+            | st.sampled_from([float("nan"), float("inf")]))
+_FUZZED_RESERVOIR = st.fixed_dictionaries({
+    "family": _valid_or(
+        st.sampled_from(["ER", "er"]),
+        st.sampled_from(["SF", "PLW", "RR", "CYCLE", "DELAY_LINE", "bogus", ""])
+        | st.integers() | st.none() | st.lists(st.text(max_size=3))),
+    "n": _valid_or(
+        st.integers(2, 12),
+        _NUMBERS | st.text(max_size=3) | st.booleans() | st.none()
+        | st.just(_ABSENT)),
+    "avg_degree": _valid_or(
+        st.floats(0.5, 4.0),
+        _NUMBERS | st.text(max_size=3) | st.just(_ABSENT)),
+    "normalization": _valid_or(
+        st.just(_ABSENT) | st.fixed_dictionaries({
+            "mode": st.sampled_from(["spectral_radius", "avg_modulus"]),
+            "value": st.floats(0.1, 2.0)}),
+        st.none() | st.text(max_size=5) | st.lists(_NUMBERS, max_size=2)
+        | st.dictionaries(st.sampled_from(["mode", "value", "extra"]),
+                          st.sampled_from(["spectral_radius", "bogus"])
+                          | _NUMBERS)),
+})
+
+
+class TestGenerateFuzz:
+    @settings(max_examples=100, derandomize=True, database=None,
+              deadline=None)
+    @given(_FUZZED_RESERVOIR)
+    def test_exit_codes_and_one_error_line(self, reservoir):
+        reservoir = {k: v for k, v in reservoir.items() if v is not _ABSENT}
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(Path(tmp), "g.json",
+                               {"reservoir": dict(reservoir, seed=0)})
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = run_cli("generate", "-c", cfg, "-o", Path(tmp) / "o")
+        assert code in (0, 2, 3, 4)
+        text = stderr.getvalue()
+        assert "Traceback" not in text
+        if code != 0:
+            lines = text.strip().splitlines()
+            assert len(lines) == 1
+            assert set(json.loads(lines[0])) == {"error", "message"}
+
+
 class TestMemoryCommand:
     def test_small_ensemble(self, tmp_path):
         cfg = write_config(tmp_path, "m.json", {
@@ -138,6 +245,15 @@ class TestMemoryCommand:
         for member in doc["members"]:
             assert 0 <= member["total"] <= 20
         assert (out / "memory.csv").read_text().startswith("# config_hash=")
+
+    def test_numeric_strings_convert(self, tmp_path):
+        cfg = write_config(tmp_path, "m.json", {
+            "reservoir": {"family": "ER", "n": 20, "avg_degree": 4},
+            "ensemble": "2", "T": "600", "tau_max": "10"})
+        assert run_cli("memory", "-c", cfg, "-o", tmp_path / "mem") == 0
+        members = read_json(tmp_path / "mem" / "memory.json")["members"]
+        assert len(members) == 2
+        assert all(m["tau_max_used"] == 10 for m in members)
 
     def test_one_decomposition_per_member(self, tmp_path, eig_calls):
         cfg = write_config(tmp_path, "m.json", {

@@ -5,15 +5,17 @@ from numpy.testing import assert_allclose, assert_array_equal
 from esnkit.errors import (
     DimensionError,
     DivergenceError,
+    DomainError,
     ParameterError,
     SingularDesignError,
 )
 from esnkit.esn import (
     TrainedReadout,
-    classify_by_forecast,
+    _one_step_blocks,
     forecast_free_run,
     run_teacher_forced,
-    step,
+    score_against_classes,
+    train_class_readouts,
     train_readout,
 )
 from esnkit.reservoirs import (
@@ -40,14 +42,17 @@ def tiny_reservoir(W, w_in=None, w_ofb=None):
 
 
 class TestStep:
+    """The first steps of ``run_teacher_forced`` against closed forms."""
+
     def test_all_zero(self):
         res = tiny_reservoir(np.zeros((4, 4)))
-        assert_array_equal(step(res, np.ones(4), 2.0, 3.0), np.zeros(4))
+        run = run_teacher_forced(res, np.full(3, 2.0), teacher=np.full(3, 3.0))
+        assert_array_equal(run.states, np.zeros((3, 4)))
 
     def test_scalar_closed_form(self):
         res = tiny_reservoir([[0.0]], w_in=[1.0])
-        assert step(res, np.zeros(1), 0.5)[0] == pytest.approx(
-            0.46211715726000974, abs=1e-12)
+        run = run_teacher_forced(res, [0.5])
+        assert run.states[0, 0] == pytest.approx(0.46211715726000974, abs=1e-12)
 
     def test_two_neuron_highprec(self):
         import mpmath as mp
@@ -55,20 +60,22 @@ class TestStep:
         w_in = np.array([0.5, -0.25])
         w_ofb = np.array([0.1, 0.9])
         res = tiny_reservoir(W, w_in, w_ofb)
-        x_prev = np.array([0.2, -0.6])
-        got = step(res, x_prev, 0.7, -0.3)
+        u = [0.4, 0.7]
+        teacher = [-0.3, 0.8]  # only teacher[0] is fed back, into step 2
+        got = run_teacher_forced(res, u, teacher=teacher).states
         with mp.workdps(40):
-            for i in range(2):
-                z = (mp.mpf(W[i, 0]) * mp.mpf(x_prev[0])
-                     + mp.mpf(W[i, 1]) * mp.mpf(x_prev[1])
-                     + mp.mpf(w_in[i]) * mp.mpf(0.7)
-                     + mp.mpf(w_ofb[i]) * mp.mpf(-0.3))
-                assert got[i] == pytest.approx(float(mp.tanh(z)), abs=1e-14)
+            x = [mp.tanh(mp.mpf(w_in[i]) * mp.mpf(u[0])) for i in range(2)]
+            assert_allclose(got[0], [float(v) for v in x], rtol=0, atol=1e-15)
+            x = [mp.tanh(mp.mpf(W[i, 0]) * x[0] + mp.mpf(W[i, 1]) * x[1]
+                         + mp.mpf(w_in[i]) * mp.mpf(u[1])
+                         + mp.mpf(w_ofb[i]) * mp.mpf(teacher[0]))
+                 for i in range(2)]
+            assert_allclose(got[1], [float(v) for v in x], rtol=0, atol=1e-14)
 
     def test_dimension_check(self):
         res = tiny_reservoir(np.zeros((3, 3)))
         with pytest.raises(DimensionError):
-            step(res, np.zeros(4), 0.0)
+            run_teacher_forced(res, np.zeros((4, 1)))
 
 
 class TestTeacherForcedRun:
@@ -117,16 +124,17 @@ class TestTeacherForcedRun:
         with pytest.raises(ParameterError):
             run_teacher_forced(res, np.zeros(10), washout=10)
 
-    def test_echo_state_contraction(self, rng):
-        # with no input the state of a sub-unit-radius reservoir dies out
+    def test_echo_state_contraction(self):
+        # after an impulse and no further input, the state of a
+        # sub-unit-radius reservoir dies out
         res = gen_er(40, 8, seed=5, normalization=Normalization("spectral_radius", 0.9))
-        x = rng.uniform(-0.9, 0.9, 40)
-        norms = []
-        for _ in range(400):
-            x = step(res, x, 0.0)
-            norms.append(np.linalg.norm(x))
+        u = np.zeros(401)
+        u[0] = 3.0
+        run = run_teacher_forced(res, u)
+        assert np.abs(run.states[0]).max() > 0.5
+        norms = np.linalg.norm(run.states[1:], axis=1)
         assert norms[-1] < 1e-12
-        tail = np.array(norms[50:])
+        tail = norms[50:]
         assert np.all(np.diff(tail) <= 1e-15)
 
     def test_linearization_agreement_small_gain(self, rng):
@@ -247,14 +255,19 @@ class TestFreeRun:
                               np.zeros(5), 0.0, 0)
 
 
+def classify(train_sets, test, reservoir, washout=5):
+    readouts = train_class_readouts(train_sets, reservoir, washout=washout)
+    return score_against_classes(readouts, test, reservoir, washout=washout)
+
+
 class TestClassification:
     def test_own_training_series_wins(self):
         t = np.arange(40)
         series_a = np.sin(2 * np.pi * 0.1 * t)
         series_b = np.sign(np.sin(2 * np.pi * 0.31 * t)) * 0.8
         res = gen_er(20, 4, seed=6)
-        label, scores = classify_by_forecast(
-            {0: [series_a], 1: [series_b]}, series_a, res, washout=3)
+        label, scores = classify({0: [series_a], 1: [series_b]}, series_a, res,
+                                 washout=3)
         assert label == 0
         assert scores[0] < scores[1]
 
@@ -262,25 +275,51 @@ class TestClassification:
         t = np.arange(40)
         series = np.sin(2 * np.pi * 0.1 * t)
         res = gen_er(20, 4, seed=6)
-        label, scores = classify_by_forecast(
-            {2: [series.copy()], 5: [series.copy()]}, series, res, washout=3)
+        label, scores = classify({2: [series.copy()], 5: [series.copy()]},
+                                 series, res, washout=3)
         assert scores[2] == scores[5]
         assert label == 2
 
     def test_needs_two_classes(self):
         res = gen_er(10, 2, seed=0)
         with pytest.raises(ParameterError):
-            classify_by_forecast({0: [np.zeros(30)]}, np.zeros(30), res)
+            classify({0: [np.zeros(30)]}, np.zeros(30), res)
 
     def test_insufficient_samples(self):
         res = gen_er(50, 5, seed=0)
         short = np.sin(np.arange(20))
         with pytest.raises(SingularDesignError):
-            classify_by_forecast({0: [short], 1: [short]}, short, res)
+            classify({0: [short], 1: [short]}, short, res)
+
+    def test_invalid_recordings(self):
+        res = gen_er(10, 2, seed=0)
+        good = np.sin(np.arange(30))
+        bad = good.copy()
+        bad[7] = np.nan
+        with pytest.raises(DomainError):
+            train_class_readouts({0: [good, bad], 1: [good]}, res)
+        with pytest.raises(ParameterError):
+            train_class_readouts({0: [good], 1: [good, good[:5]]}, res,
+                                 washout=5)
+
+    def test_batched_blocks_match_single_runs(self, rng):
+        # recordings of one length run as one batch; the per-recording
+        # run_teacher_forced rows are the reference, in the same order
+        res = gen_er(30, 5, seed=11, feedback=True,
+                     normalization=Normalization("spectral_radius", 1.1))
+        recordings = [rng.standard_normal(length)
+                      for length in (40, 25, 40, 33, 25, 40, 60)]
+        blocks = _one_step_blocks(res, recordings, 4, "tanh")
+        assert len(blocks) == len(recordings)
+        for series, (design, target) in zip(recordings, blocks):
+            run = run_teacher_forced(res, series, washout=4)
+            expected = run.design_matrix()[4:-1]
+            assert design.shape == expected.shape
+            assert_allclose(design, expected, rtol=0,
+                            atol=1e-12 * np.abs(expected).max())
+            assert_array_equal(target, series[5:])
 
     def test_two_band_synthetic_benchmark(self, rng):
-        from esnkit.esn import score_against_classes, train_class_readouts
-
         def sinusoid(freq, length=60):
             phase = rng.uniform(0, 2 * np.pi)
             t = np.arange(length)

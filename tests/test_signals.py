@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from esnkit.errors import ConstantSeriesError, ParameterError
-from esnkit.reservoirs import gen_cycle_enhanced, gen_er
+from esnkit.esn import run_teacher_forced
+from esnkit.reservoirs import gen_cycle_enhanced, gen_er, make_rng
 from esnkit.signals import (
     autocorrelation,
     gaussian_smooth,
@@ -79,6 +80,21 @@ class TestReservoirResponse:
         low = profile.power[profile.freqs <= 0.05].mean()
         high = profile.power[profile.freqs >= 0.45].mean()
         assert low > 3 * high
+
+    def test_batch_matches_trial_by_trial(self):
+        # the trials run as one batch; one run_teacher_forced per trial is
+        # the reference
+        res = gen_er(40, 6, seed=3)
+        profile = reservoir_response(res, n_trials=3, T=256, seed=4,
+                                     match=(0.2, 0.5), washout=50)
+        total = 0.0
+        for trial in range(3):
+            drive = 0.2 + np.sqrt(0.5) * make_rng(4, trial).standard_normal(306)
+            states = run_teacher_forced(res, drive).states[50:]
+            total = total + np.mean([periodogram(states[:, i]).power
+                                     for i in range(40)], axis=0)
+        assert_allclose(profile.power, total / 3, rtol=0,
+                        atol=1e-12 * profile.power.max())
 
     def test_matched_moments(self):
         res = gen_er(30, 5, seed=7)

@@ -14,7 +14,6 @@ from esnkit.reservoirs import gen_cycle_enhanced, gen_er
 from esnkit.spectral import (
     avg_modulus,
     eigenvalues,
-    modulus_density,
     normalize_avg_modulus,
     normalize_spectral_radius,
     spectral_radius,
@@ -138,9 +137,13 @@ class TestNormalization:
             normalize_avg_modulus(np.eye(3), -1.0)
 
 
+def modulus_histogram(W, n_bins):
+    return spectrum_report(W, n_bins).modulus_histogram
+
+
 class TestModulusDensity:
     def test_identity_mass_in_unit_bin(self):
-        hist = modulus_density(np.eye(10), 5)
+        hist = modulus_histogram(np.eye(10), 5)
         centers = np.array([c for c, _ in hist])
         densities = np.array([d for _, d in hist])
         hot = np.argmax(densities)
@@ -149,24 +152,24 @@ class TestModulusDensity:
         assert densities.sum() == pytest.approx(densities[hot])
 
     def test_ring_mass_at_one(self):
-        hist = modulus_density(ring_matrix(16), 8)
+        hist = modulus_histogram(ring_matrix(16), 8)
         densities = np.array([d for _, d in hist])
         assert np.count_nonzero(densities) == 1
 
     def test_density_integrates_to_one(self, rng):
         A = rng.standard_normal((25, 25))
-        hist = modulus_density(A, 12)
+        hist = modulus_histogram(A, 12)
         width = np.abs(eigenvalues(A)).max() / 12
         total = sum(d for _, d in hist) * width
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_matrix(self):
-        hist = modulus_density(np.zeros((3, 3)), 4)
+        hist = modulus_histogram(np.zeros((3, 3)), 4)
         assert sum(d for _, d in hist) * 0.25 == pytest.approx(1.0)
 
     def test_needs_positive_bins(self):
         with pytest.raises(ParameterError):
-            modulus_density(np.eye(2), 0)
+            modulus_histogram(np.eye(2), 0)
 
 
 class TestSpectrumReport:
