@@ -10,6 +10,8 @@ config hash, toolkit version, and file checksums. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import hashlib
 import json
 import os
@@ -109,6 +111,49 @@ def _number(cfg: dict, key: str, kind: type, default):
     except (TypeError, ValueError):
         raise ParameterError(f"config field {key!r} must be {kind.__name__}, "
                              f"got {value!r}") from None
+
+
+def _number_list(cfg: dict, key: str, kind: type, default) -> tuple:
+    """``cfg[key]`` as a tuple of ``kind``, or ``default`` when the field is
+    absent or null; anything but a list of convertible values is a config
+    error naming the field."""
+    value = cfg.get(key)
+    if value is None:
+        return tuple(default)
+    if isinstance(value, list):
+        try:
+            return tuple(kind(v) for v in value)
+        except (TypeError, ValueError):
+            pass
+    raise ParameterError(f"config field {key!r} must be a list of "
+                         f"{kind.__name__}, got {value!r}")
+
+
+def _sweep_points(cfg: dict) -> list[tuple]:
+    """``(index, param, value)`` for each point of the config's ``sweep``;
+    one point without a parameter when there is no sweep."""
+    sweep = cfg.get("sweep")
+    if sweep is None:
+        return [(0, None, None)]
+    values = sweep.get("values") if isinstance(sweep, dict) else None
+    if (not isinstance(values, list) or not values
+            or not isinstance(sweep.get("param"), str)
+            or not all(isinstance(v, (int, float)) for v in values)):
+        raise ParameterError("config field 'sweep' must be a mapping with a "
+                             "string 'param' and a non-empty list of numbers "
+                             f"as 'values', got {sweep!r}")
+    return [(i, sweep["param"], v) for i, v in enumerate(values)]
+
+
+def _read_series(path) -> np.ndarray:
+    """A one-value-per-line series file as a 1-D array."""
+    try:
+        series = np.loadtxt(path)
+    except ValueError as exc:
+        raise IngestionError(f"{path}: {exc}") from exc
+    if series.ndim != 1:
+        raise DataError(f"{path}: series must be one value per line")
+    return series
 
 
 def _file_sha256(path: Path) -> str:
@@ -279,13 +324,7 @@ def cmd_psd(args) -> int:
     if bool(args.input) == bool(args.reservoir):
         raise ConfigError("pass exactly one of --input or --reservoir")
     if args.input:
-        try:
-            series = np.loadtxt(args.input)
-        except ValueError as exc:
-            raise IngestionError(f"{args.input}: {exc}") from exc
-        if series.ndim != 1:
-            raise DataError("input series must be one value per line")
-        profile = periodogram(series)
+        profile = periodogram(_read_series(args.input))
         source = {"input": str(args.input)}
     else:
         reservoir = load_reservoir(args.reservoir)
@@ -301,6 +340,56 @@ def cmd_psd(args) -> int:
                     [outdir / "psd.csv", outdir / "psd.json"])
     print(f"wrote {outdir / 'psd.csv'} ({len(profile.freqs)} bins)")
     return 0
+
+
+#: (setter, getter) symbol pairs of OpenBLAS's thread count: the plain
+#: build, scipy's renamed copy and numpy's 64-bit-integer copy.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+)
+
+
+def _openblas_thread_controls() -> list[tuple]:
+    """(setter, getter) of the thread count of every OpenBLAS loaded in this
+    process; empty where none is found or the lookup fails."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.split()[-1].lower()})
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return []
+    controls = []
+    for lib in libs:
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            setter = getattr(lib, set_name, None)
+            getter = getattr(lib, get_name, None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((setter, getter))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def _single_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread, then give
+    each back its earlier thread count.
+
+    Forked pool workers inherit the setting, so each ensemble member runs
+    one BLAS thread and the pool no longer oversubscribes the cores."""
+    controls = _openblas_thread_controls()
+    saved = [getter() for _, getter in controls]
+    for setter, _ in controls:
+        setter(1)
+    try:
+        yield
+    finally:
+        for (setter, _), count in zip(controls, saved):
+            setter(count)
 
 
 def _benchmark_member(payload) -> tuple[int, int, float, float, float]:
@@ -329,12 +418,7 @@ def cmd_benchmark(args) -> int:
                             {"mode": "spectral_radius", "value": defaults.alpha})
     base_cfg.setdefault("feedback", defaults.feedback)
 
-    sweep = cfg.get("sweep")
-    if sweep:
-        points = [(i, sweep["param"], v)
-                  for i, v in enumerate(sweep["values"])]
-    else:
-        points = [(0, None, None)]
+    points = _sweep_points(cfg)
     ensemble = _number(cfg, "ensemble", int, 1)
     seed_base = _number(cfg, "seed_base", int, 0)
     ridge = _number(cfg, "ridge", float, 1e-8)
@@ -348,11 +432,12 @@ def cmd_benchmark(args) -> int:
             payloads.append((bundle, res_cfg, sweep_idx, value,
                              [seed_base, sweep_idx, member], ridge))
 
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_benchmark_member, payloads))
-    else:
-        results = [_benchmark_member(p) for p in payloads]
+    with _single_blas_thread():
+        if args.workers > 1:
+            with ProcessPoolExecutor(max_workers=args.workers) as pool:
+                results = list(pool.map(_benchmark_member, payloads))
+        else:
+            results = [_benchmark_member(p) for p in payloads]
     results.sort(key=lambda r: (r[0], r[1]))
 
     chash = config_hash(cfg)
@@ -400,12 +485,13 @@ def cmd_adapt(args) -> int:
     gen_params.setdefault("normalization",
                           {"mode": "avg_modulus", "value": mean_modulus})
 
-    signal = (np.loadtxt(args.signal) if args.signal
+    signal = (_read_series(args.signal) if args.signal
               else np.asarray(bundle.train, dtype=float))
     table = build_response_table(
         gen_params,
-        lengths=tuple(cfg.get("lengths", (1, 2, 3))),
-        density_grid=tuple(cfg.get("density_grid", DEFAULT_DENSITY_GRID)),
+        lengths=_number_list(cfg, "lengths", int, (1, 2, 3)),
+        density_grid=_number_list(cfg, "density_grid", float,
+                                  DEFAULT_DENSITY_GRID),
         n_instances=_number(cfg, "n_instances", int, 10),
         seed=_number(cfg, "table_seed", int, 0),
         T=_number(cfg, "response_samples", int, 1024),

@@ -1,6 +1,8 @@
 import contextlib
+import csv
 import io
 import json
+import multiprocessing
 import tempfile
 from pathlib import Path
 
@@ -9,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esnkit.cli import main
+from esnkit import cli
+from esnkit.cli import _openblas_thread_controls, main
 from esnkit.storage import read_json
 
 
@@ -174,8 +177,59 @@ class TestErrors:
         assert run_cli("psd", "--input", path, "-o", tmp_path / "o") == 3
         assert self.single_error_line(capsys)["error"] == "IngestionError"
 
+    def test_non_numeric_adapt_signal(self, tmp_path, capsys):
+        path = tmp_path / "signal.txt"
+        path.write_text("abc\n")
+        cfg = write_config(tmp_path, "a.json", {
+            "task": {"name": "sine-mixture", "seed": 3, "length": 2500}})
+        assert run_cli("adapt", "-c", cfg, "--signal", path,
+                       "-o", tmp_path / "o") == 3
+        assert self.single_error_line(capsys)["error"] == "IngestionError"
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("adapt", "lengths", 5),
+        ("adapt", "density_grid", "0.2"),
+        ("benchmark", "sweep", [0.5, 0.9]),
+        ("benchmark", "sweep", {"values": [0.5, 0.9]}),
+        ("benchmark", "sweep", {"param": "alpha", "values": 3}),
+    ], ids=["adapt_lengths", "adapt_density_grid", "sweep_not_mapping",
+            "sweep_no_param", "sweep_values_not_list"])
+    def test_malformed_list_field(self, tmp_path, capsys, command, field,
+                                  value):
+        cfg = {"task": {"name": "sine-mixture", "seed": 3, "length": 2500},
+               field: value}
+        extra = []
+        if command == "benchmark":
+            cfg["reservoir"] = {"family": "ER", "n": 20}
+            extra = ["--workers", 1]
+        path = write_config(tmp_path, "c.json", cfg)
+        assert run_cli(command, "-c", path, "-o", tmp_path / "o", *extra) == 2
+        err = self.single_error_line(capsys)
+        assert err["error"] == "ParameterError"
+        assert repr(field) in err["message"]
+
 
 _ABSENT = object()
+
+
+def _run_quietly(*args) -> tuple[int, str]:
+    """Exit code and stderr of one CLI call."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = run_cli(*args)
+    return code, stderr.getvalue()
+
+
+def _assert_clean_exit(code, stderr):
+    """An exit code of the contract; a failure prints one JSON error line
+    and no traceback."""
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in stderr
+    if code != 0:
+        lines = stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error", "message"}
 
 
 def _valid_or(valid, other):
@@ -220,17 +274,70 @@ class TestGenerateFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             cfg = write_config(Path(tmp), "g.json",
                                {"reservoir": dict(reservoir, seed=0)})
-            stderr = io.StringIO()
-            with contextlib.redirect_stderr(stderr), \
-                    contextlib.redirect_stdout(io.StringIO()):
-                code = run_cli("generate", "-c", cfg, "-o", Path(tmp) / "o")
-        assert code in (0, 2, 3, 4)
-        text = stderr.getvalue()
-        assert "Traceback" not in text
-        if code != 0:
-            lines = text.strip().splitlines()
-            assert len(lines) == 1
-            assert set(json.loads(lines[0])) == {"error", "message"}
+            _assert_clean_exit(*_run_quietly(
+                "generate", "-c", cfg, "-o", Path(tmp) / "o"))
+
+
+#: A tiny forecasting task, so that a fuzzed config that does run is quick.
+_TINY_TASK = {"name": "sine-mixture", "seed": 1, "length": 1200}
+
+#: ``sweep`` shapes: half the time a valid sweep (or none), otherwise
+#: another type, a mapping with missing, misspelt or mistyped keys, or
+#: values of the wrong type or range for their parameter.
+_FUZZED_SWEEP = _valid_or(
+    st.just(_ABSENT) | st.none() | st.fixed_dictionaries({
+        "param": st.sampled_from(["alpha", "avg_modulus", "avg_degree"]),
+        "values": st.lists(st.floats(0.2, 1.2), min_size=1, max_size=2)}),
+    _NUMBERS | st.text(max_size=3) | st.lists(_NUMBERS, max_size=2)
+    | st.dictionaries(
+        st.sampled_from(["param", "values", "extra"]),
+        st.sampled_from(["alpha", "n", "cycle_density:2", "bogus"])
+        | _NUMBERS | st.none()
+        | st.lists(_NUMBERS | st.text(max_size=2) | st.none()
+                   | st.booleans(), max_size=2)))
+
+#: ``lengths`` and ``density_grid`` shapes for ``adapt``: valid short
+#: lists half the time, otherwise scalars, strings, nulls or lists holding
+#: out-of-range, non-finite or non-numeric entries.
+_FUZZED_LENGTHS = _valid_or(
+    st.lists(st.integers(1, 2), min_size=1, max_size=2),
+    _NUMBERS | st.text(max_size=3) | st.dictionaries(st.text(max_size=1),
+                                                     _NUMBERS, max_size=1)
+    | st.lists(_NUMBERS | st.text(max_size=2) | st.none(), max_size=2))
+_FUZZED_GRID = _valid_or(
+    st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=2),
+    _NUMBERS | st.text(max_size=3)
+    | st.lists(_NUMBERS | st.text(max_size=2) | st.none(), max_size=2))
+
+
+class TestBenchmarkAdaptFuzz:
+    @settings(max_examples=100, derandomize=True, database=None,
+              deadline=None)
+    @given(_FUZZED_SWEEP)
+    def test_benchmark_sweep(self, sweep):
+        cfg = {"task": _TINY_TASK,
+               "reservoir": {"family": "ER", "n": 10, "avg_degree": 3},
+               "ensemble": 1}
+        if sweep is not _ABSENT:
+            cfg["sweep"] = sweep
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_config(Path(tmp), "b.json", cfg)
+            _assert_clean_exit(*_run_quietly(
+                "benchmark", "-c", path, "-o", Path(tmp) / "o",
+                "--workers", 1))
+
+    @settings(max_examples=80, derandomize=True, database=None,
+              deadline=None)
+    @given(_FUZZED_LENGTHS, _FUZZED_GRID)
+    def test_adapt_lengths_and_grid(self, lengths, density_grid):
+        cfg = {"task": _TINY_TASK,
+               "gen_params": {"n": 10, "connectivity": 0.3},
+               "lengths": lengths, "density_grid": density_grid,
+               "n_instances": 1, "response_samples": 64, "n_seeds": 2}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_config(Path(tmp), "a.json", cfg)
+            _assert_clean_exit(*_run_quietly(
+                "adapt", "-c", path, "-o", Path(tmp) / "o"))
 
 
 class TestMemoryCommand:
@@ -328,6 +435,21 @@ class TestBenchmarkCommand:
         assert (serial / "results.csv").read_bytes() == \
             (parallel / "results.csv").read_bytes()
 
+    def test_parallel_matches_serial_mackey_glass(self, tmp_path):
+        # n=100 is large enough for OpenBLAS to use more than one thread,
+        # unlike the n=25 case above.
+        cfg = write_config(tmp_path, "b.json", {
+            "task": {"name": "mackey-glass", "seed": 2, "length": 3000},
+            "reservoir": {"family": "ER", "n": 100},
+            "ensemble": 4, "seed_base": 1})
+        serial, parallel = tmp_path / "s", tmp_path / "p"
+        assert run_cli("benchmark", "-c", cfg, "-o", serial,
+                       "--workers", 1) == 0
+        assert run_cli("benchmark", "-c", cfg, "-o", parallel,
+                       "--workers", 2) == 0
+        assert (serial / "results.csv").read_bytes() == \
+            (parallel / "results.csv").read_bytes()
+
     def test_one_decomposition_per_member(self, tmp_path, eig_calls):
         cfg = write_config(tmp_path, "b.json", {
             "task": {"name": "sine-mixture", "seed": 1, "length": 1200},
@@ -350,6 +472,67 @@ class TestBenchmarkCommand:
         report = read_json(out / "benchmark.json")
         medians = list(report["per_sweep_median"].values())
         assert 0.0 <= medians[0] <= 1.0
+
+
+def _blas_threads(controls) -> list[int]:
+    return [get() for _, get in controls]
+
+
+@pytest.fixture
+def blas_two_threads():
+    """Every loaded OpenBLAS on two threads while the test runs, so that a
+    count of one can only come from the command; afterwards each gets its
+    own count back."""
+    controls = _openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread setter found")
+    saved = _blas_threads(controls)
+    for set_threads, _ in controls:
+        set_threads(2)
+    yield controls
+    for (set_threads, _), count in zip(controls, saved):
+        set_threads(count)
+
+
+def _member_blas_threads(bundle, reservoir, ridge):
+    """Stands in for ``benchmark``: the member's score is the largest
+    thread count of the OpenBLAS libraries in the process that runs it."""
+    return float(max(_blas_threads(_openblas_thread_controls())))
+
+
+class TestBenchmarkBlasThreads:
+    CONFIG = {"task": {"name": "sine-mixture", "seed": 1, "length": 1200},
+              "reservoir": {"family": "ER", "n": 25},
+              "ensemble": 4, "seed_base": 0}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_members_run_one_thread(self, tmp_path, monkeypatch,
+                                    blas_two_threads, workers):
+        # Pool workers see the patched ``benchmark`` because they are forked.
+        assert multiprocessing.get_start_method() == "fork"
+        monkeypatch.setattr(cli, "benchmark", _member_blas_threads)
+        cfg = write_config(tmp_path, "b.json", self.CONFIG)
+        assert run_cli("benchmark", "-c", cfg, "-o", tmp_path / "b",
+                       "--workers", workers) == 0
+        with open(tmp_path / "b" / "results.csv") as fh:
+            rows = list(csv.DictReader(line for line in fh
+                                       if not line.startswith("#")))
+        assert [float(r["performance"]) for r in rows] == [1.0] * 4
+
+    def test_caller_threads_restored(self, tmp_path, blas_two_threads):
+        cfg = write_config(tmp_path, "b.json", self.CONFIG)
+        assert run_cli("benchmark", "-c", cfg, "-o", tmp_path / "b",
+                       "--workers", 1) == 0
+        assert set(_blas_threads(blas_two_threads)) == {2}
+
+    def test_caller_threads_restored_after_error(self, tmp_path,
+                                                 blas_two_threads):
+        # The unknown key fails inside the first member.
+        cfg = write_config(tmp_path, "b.json", dict(
+            self.CONFIG, reservoir={"family": "ER", "n": 25, "bogus": 1}))
+        assert run_cli("benchmark", "-c", cfg, "-o", tmp_path / "b",
+                       "--workers", 1) == 2
+        assert set(_blas_threads(blas_two_threads)) == {2}
 
 
 class TestAdaptCommand:
