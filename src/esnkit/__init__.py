@@ -40,7 +40,6 @@ from .reservoirs import (
 )
 from .signals import (
     PsdProfile,
-    autocorrelation,
     gaussian_smooth,
     normalize_series,
     periodogram,

@@ -7,12 +7,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DivergenceError
 from .esn import (
     _best_class,
     _fit_readout,
+    _free_run,
     _one_step_blocks,
-    forecast_free_run,
     run_teacher_forced,
     train_class_readouts,
 )
@@ -36,28 +35,33 @@ __all__ = [
 ]
 
 
-def _next_step_teacher(series: np.ndarray) -> np.ndarray:
-    """Teacher signal for one-step-ahead training: y(t) targets u(t+1)."""
-    return np.concatenate([series[1:], series[-1:]])
+def _next_step_run(reservoir: Reservoir, series: np.ndarray, washout: int):
+    """Teacher-forced pass for one-step-ahead training: y(t) targets u(t+1)."""
+    teacher = np.concatenate([series[1:], series[-1:]])
+    return run_teacher_forced(reservoir, series, teacher=teacher,
+                              washout=washout)
 
 
-def _multi_step_errors(reservoir: Reservoir, readout, series: np.ndarray,
-                       washout: int, horizon: int, anchors: int) -> np.ndarray:
+def _trained_pass(reservoir: Reservoir, bundle: TaskBundle,
+                  series: np.ndarray, ridge: float):
+    """Teacher-forced pass over ``series``, which begins with the bundle's
+    training series, and the next-step readout fitted on the training rows."""
+    run = _next_step_run(reservoir, series, bundle.washout)
+    rows = slice(bundle.washout, len(bundle.train) - 1)
+    return run, _fit_readout(run.design_matrix()[rows], run.inputs[1:][rows],
+                             run.inputs[rows], ridge)
+
+
+def _multi_step_errors(reservoir: Reservoir, readout, run, start: int,
+                       horizon: int, anchors: int) -> np.ndarray:
     """Closed-loop errors at the final step of ``horizon``-step rollouts
-    started from evenly spaced anchors along a teacher-forced pass."""
-    run = run_teacher_forced(reservoir, series,
-                             teacher=_next_step_teacher(series),
-                             washout=washout)
-    starts = np.linspace(washout, len(series) - 1 - horizon, anchors).astype(int)
-    errors = np.empty(len(starts))
-    for idx, t in enumerate(starts):
-        try:
-            ys = forecast_free_run(reservoir, readout, run.states[t],
-                                   series[t], horizon)
-            errors[idx] = ys[-1] - series[t + horizon]
-        except DivergenceError:
-            errors[idx] = np.inf
-    return errors
+    started from evenly spaced anchors of a teacher-forced ``run``, from
+    ``start`` on; a diverged rollout's error is infinite."""
+    series = run.inputs
+    starts = np.linspace(start, len(series) - 1 - horizon, anchors).astype(int)
+    ys = _free_run(reservoir, readout, run.states[starts], series[starts],
+                   horizon, "tanh")
+    return ys[:, -1] - series[starts + horizon]
 
 
 def forecast_benchmark(bundle: TaskBundle, reservoir: Reservoir, *,
@@ -72,44 +76,20 @@ def forecast_benchmark(bundle: TaskBundle, reservoir: Reservoir, *,
     horizon = bundle.esn_defaults.horizon
     if bundle.continuous:
         series = np.concatenate([bundle.train, bundle.test])
-        split = len(bundle.train)
-        run = run_teacher_forced(reservoir, series,
-                                 teacher=_next_step_teacher(series),
-                                 washout=bundle.washout)
-        design = run.design_matrix()
-        train_rows = slice(bundle.washout, split - 1)
-        readout = _fit_readout(design[train_rows], series[bundle.washout + 1:split],
-                               run.inputs[train_rows], ridge)
-        if horizon == 1:
-            test_rows = slice(split, len(series) - 1)
-            pred = design[test_rows] @ readout.w_out
-            return nrmse(pred, series[split + 1:], series[split:len(series) - 1])
-        errors = _multi_step_errors(reservoir, readout, series,
-                                    split, horizon, anchors)
-        return float(np.sqrt(np.mean(errors ** 2) / np.var(series[split:])))
+        run, readout = _trained_pass(reservoir, bundle, series, ridge)
+        start = len(bundle.train)
+    else:
+        readout = _trained_pass(reservoir, bundle, bundle.train, ridge)[1]
+        series, start = bundle.test, bundle.washout
+        run = _next_step_run(reservoir, series, bundle.washout)
 
-    train_series = bundle.train
-    run = run_teacher_forced(reservoir, train_series,
-                             teacher=_next_step_teacher(train_series),
-                             washout=bundle.washout)
-    rows = slice(bundle.washout, len(train_series) - 1)
-    readout = _fit_readout(run.design_matrix()[rows],
-                           train_series[bundle.washout + 1:],
-                           train_series[rows], ridge)
-
-    test_series = bundle.test
     if horizon == 1:
-        test_run = run_teacher_forced(reservoir, test_series,
-                                      teacher=_next_step_teacher(test_series),
-                                      washout=bundle.washout)
-        rows = slice(bundle.washout, len(test_series) - 1)
-        pred = test_run.design_matrix()[rows] @ readout.w_out
-        return nrmse(pred, test_series[bundle.washout + 1:],
-                     test_series[rows])
-    errors = _multi_step_errors(reservoir, readout, test_series,
-                                bundle.washout, horizon, anchors)
-    return float(np.sqrt(np.mean(errors ** 2)
-                         / np.var(test_series[bundle.washout:])))
+        rows = slice(start, len(series) - 1)
+        pred = run.design_matrix()[rows] @ readout.w_out
+        return nrmse(pred, series[start + 1:], series[rows])
+    errors = _multi_step_errors(reservoir, readout, run, start, horizon,
+                                anchors)
+    return float(np.sqrt(np.mean(errors ** 2) / np.var(series[start:])))
 
 
 def classification_benchmark(bundle: TaskBundle, reservoir: Reservoir, *,

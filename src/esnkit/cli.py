@@ -54,13 +54,7 @@ from .storage import (
     spectrum_to_dict,
     write_json,
 )
-from .tasks import (
-    gen_synthetic_classification,
-    load_arabic_digits,
-    load_laser,
-    mackey_glass_bundle,
-    sine_mixture_bundle,
-)
+from .tasks import _make_task
 
 CACHE_ENV = "ESNKIT_CACHE_DIR"
 
@@ -100,17 +94,22 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _number(cfg: dict, key: str, kind: type, default):
+def _number(cfg: dict, key: str, kind: type, default, minimum=None):
     """``kind(cfg[key])``, or ``default`` when the field is absent or null;
-    a value that does not convert is a config error naming the field."""
+    a value that does not convert, or is below ``minimum``, is a config
+    error naming the field."""
     value = cfg.get(key)
     if value is None:
         return default
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError):
         raise ParameterError(f"config field {key!r} must be {kind.__name__}, "
                              f"got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise ParameterError(f"config field {key!r} must be at least "
+                             f"{minimum}, got {value!r}")
+    return number
 
 
 def _number_list(cfg: dict, key: str, kind: type, default) -> tuple:
@@ -210,18 +209,7 @@ def _mean_modulus(reservoir) -> float:
 
 def task_from_config(cfg: dict):
     cfg = dict(cfg)
-    name = cfg.pop("name", None)
-    if name == "mackey-glass":
-        return mackey_glass_bundle(**cfg)
-    if name == "laser":
-        return load_laser(cfg["path"])
-    if name == "sine-mixture":
-        return sine_mixture_bundle(**cfg)
-    if name == "synthetic-classification":
-        return gen_synthetic_classification(**cfg)
-    if name == "arabic-digits":
-        return load_arabic_digits(cfg["train_path"], cfg["test_path"])
-    raise ConfigError(f"unknown task {name!r}")
+    return _make_task(cfg.pop("name", None), cfg)
 
 
 def _apply_sweep(res_cfg: dict, param: str, value):
@@ -284,7 +272,7 @@ def cmd_memory(args) -> int:
     if "reservoir" not in cfg:
         raise ConfigError("config must contain a 'reservoir' section")
     outdir = _outdir(args)
-    ensemble = _number(cfg, "ensemble", int, 1)
+    ensemble = _number(cfg, "ensemble", int, 1, minimum=1)
     seed_base = _number(cfg, "seed_base", int, 0)
     T = _number(cfg, "T", int, 4000)
     tau_max = _number(cfg, "tau_max", int, None)
@@ -419,7 +407,7 @@ def cmd_benchmark(args) -> int:
     base_cfg.setdefault("feedback", defaults.feedback)
 
     points = _sweep_points(cfg)
-    ensemble = _number(cfg, "ensemble", int, 1)
+    ensemble = _number(cfg, "ensemble", int, 1, minimum=1)
     seed_base = _number(cfg, "seed_base", int, 0)
     ridge = _number(cfg, "ridge", float, 1e-8)
     n_bins = _number(cfg, "bins", int, 10)
@@ -477,7 +465,7 @@ def cmd_adapt(args) -> int:
     defaults = bundle.esn_defaults
     mean_modulus = _number(cfg, "mean_modulus", float, 0.6)
     ridge = _number(cfg, "ridge", float, 1e-8)
-    n_seeds = _number(cfg, "n_seeds", int, 20)
+    n_seeds = _number(cfg, "n_seeds", int, 20, minimum=1)
     seed_base = _number(cfg, "seed_base", int, 0)
     gen_params = dict(cfg.get("gen_params", {}))
     gen_params.setdefault("n", defaults.n)

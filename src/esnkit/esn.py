@@ -34,7 +34,7 @@ __all__ = [
     "DIVERGENCE_LIMIT",
 ]
 
-#: Free-running forecasts abort once |y| exceeds this.
+#: A closed-loop rollout has diverged once |y| exceeds this.
 DIVERGENCE_LIMIT = 1e6
 
 #: Dense matvec beats sparse below this size; the cutoff only changes speed.
@@ -191,11 +191,39 @@ def train_readout(run: EsnRun, target: np.ndarray,
     return _fit_readout(design, y[lo:], run.inputs[lo:], ridge)
 
 
+def _free_run(reservoir: Reservoir, readout: TrainedReadout, X0: np.ndarray,
+              u0: np.ndarray, horizon: int, activation: str) -> np.ndarray:
+    """Closed-loop recursion from a ``(B, n)`` stack of start states and
+    ``(B,)`` start inputs: each output becomes the next input (and the
+    feedback signal). Returns ``(B, horizon)`` outputs. A row that leaves
+    ``[-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT]`` reads ``inf`` from then on and
+    its state is zeroed. ``np.matmul`` calls BLAS once per row, so each row
+    rounds exactly like a single rollout's ``W @ x`` and ``w @ x``.
+    """
+    f = _activation(activation)
+    W = _recurrence_operator(reservoir)
+    w_state, w_input = readout.w_out[:-1], readout.w_out[-1]
+    X = np.array(X0, dtype=float)
+    u = np.asarray(u0, dtype=float)
+    ys = np.full((len(X), horizon), np.inf)
+    alive = np.ones(len(X), dtype=bool)
+    for h in range(horizon):
+        y = np.matmul(w_state, X[:, :, None])[:, 0] + w_input * u
+        alive &= np.abs(y) <= DIVERGENCE_LIMIT  # False for nan too
+        if not alive.any():
+            break
+        ys[alive, h] = y[alive]
+        u = np.where(alive, y, 0.0)
+        X[~alive] = 0.0
+        WX = (W @ X.T).T if sp.issparse(W) else np.matmul(W, X[..., None])[..., 0]
+        X = f(WX + u[:, None] * reservoir.w_in + u[:, None] * reservoir.w_ofb)
+    return ys
+
+
 def forecast_free_run(reservoir: Reservoir, readout: TrainedReadout,
                       x_init: np.ndarray, u_init: float, horizon: int,
                       activation: str = "tanh") -> np.ndarray:
-    """Closed-loop forecast: each output becomes the next input (and the
-    feedback signal, when the reservoir has one).
+    """Closed-loop forecast from one state: a batch of one ``_free_run``.
 
     Raises ``DivergenceError`` with the offending step index if the output
     leaves ``[-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT]``.
@@ -205,19 +233,10 @@ def forecast_free_run(reservoir: Reservoir, readout: TrainedReadout,
     x = np.asarray(x_init, dtype=float)
     if x.shape != (reservoir.n,):
         raise DimensionError("x_init has the wrong length")
-    f = _activation(activation)
-    W = _recurrence_operator(reservoir)
-    w_state = readout.w_out[:-1]
-    w_input = readout.w_out[-1]
-    u = float(u_init)
-    ys = np.empty(horizon)
-    for h in range(horizon):
-        y = float(w_state @ x + w_input * u)
-        if not np.isfinite(y) or abs(y) > DIVERGENCE_LIMIT:
-            raise DivergenceError(f"forecast diverged at step {h + 1}", step=h + 1)
-        ys[h] = y
-        u = y
-        x = f(W @ x + reservoir.w_in * u + reservoir.w_ofb * y)
+    [ys] = _free_run(reservoir, readout, x[None], [u_init], horizon, activation)
+    if np.isinf(ys[-1]):
+        step = int(np.argmax(np.isinf(ys))) + 1
+        raise DivergenceError(f"forecast diverged at step {step}", step=step)
     return ys
 
 

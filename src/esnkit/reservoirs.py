@@ -594,20 +594,26 @@ def make_reservoir(family: str, **kwargs) -> Reservoir:
         builder = _FAMILY_BUILDERS[_family_key(family)]
     except KeyError:
         raise ParameterError(f"unknown reservoir family {family!r}") from None
+    return _call_with_config(builder, f"{family} reservoir", kwargs)
+
+
+def _call_with_config(builder, section: str, cfg: dict):
+    """``builder(**cfg)`` after checking ``cfg`` against its signature: an
+    unknown or missing key, or a non-number for an ``int`` or ``float``
+    parameter, is a ``ParameterError`` naming the section and the key."""
     signature = inspect.signature(builder)
     try:
-        signature.bind(**kwargs)
+        signature.bind(**cfg)
     except TypeError as exc:
-        raise ParameterError(f"{family} reservoir config: {exc}") from None
-    for key, value in kwargs.items():
+        raise ParameterError(f"{section} config: {exc}") from None
+    for key, value in cfg.items():
         # Annotations are strings here (postponed evaluation).
         kind = signature.parameters[key].annotation
         if kind in _NUMBER_TYPES and (isinstance(value, bool) or
                                       not isinstance(value, _NUMBER_TYPES[kind])):
             raise ParameterError(
-                f"{family} reservoir config: {key!r} must be {kind}, "
-                f"got {value!r}")
-    return builder(**kwargs)
+                f"{section} config: {key!r} must be {kind}, got {value!r}")
+    return builder(**cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ __all__ = [
     "PsdProfile",
     "periodogram",
     "reservoir_response",
-    "autocorrelation",
     "gaussian_smooth",
     "normalize_series",
     "resample_to_length",
@@ -109,19 +108,6 @@ def reservoir_response(reservoir: Reservoir, n_trials: int = 10,
                 for trial in range(n_trials))
     return PsdProfile(freqs=np.fft.rfftfreq(T), power=total / n_trials,
                       n_averages=n_trials * reservoir.n)
-
-
-def autocorrelation(x, max_lag: int) -> np.ndarray:
-    """Biased sample autocorrelation, normalized so lag 0 equals 1."""
-    series = np.asarray(x, dtype=float)
-    T = len(series)
-    if not 0 <= max_lag < T / 2:
-        raise ParameterError("max_lag must satisfy 0 <= max_lag < T/2")
-    d = series - series.mean()
-    denom = float(np.dot(d, d))
-    if denom == 0.0:
-        raise ConstantSeriesError("autocorrelation of a constant series is undefined")
-    return np.array([np.dot(d[:T - k], d[k:]) / denom for k in range(max_lag + 1)])
 
 
 def gaussian_smooth(x, window_len: int = 3, sigma: float = 1.0) -> np.ndarray:

@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IngestionError, ParameterError
-from .reservoirs import make_rng, SeedLike
+from .errors import ConfigError, IngestionError, ParameterError
+from .reservoirs import _call_with_config, make_rng, SeedLike
 from .signals import gaussian_smooth, normalize_series, resample_to_length
 
 __all__ = [
@@ -369,3 +369,22 @@ def gen_synthetic_classification(n_classes: int = 10, per_class: int = 50,
         meta={"seed": seed, "centers": centers, "bandwidth": bandwidth,
               "noise_sigma": noise_sigma},
     )
+
+
+#: Task builders by config name; the file tasks take exactly their paths.
+_TASK_BUILDERS = {
+    "mackey-glass": mackey_glass_bundle,
+    "laser": load_laser,
+    "sine-mixture": sine_mixture_bundle,
+    "synthetic-classification": gen_synthetic_classification,
+    "arabic-digits": lambda train_path, test_path: load_arabic_digits(
+        train_path, test_path),
+}
+
+
+def _make_task(name, cfg: dict) -> TaskBundle:
+    """The bundle of the task a config section names, with the section's
+    other keys checked against its builder's signature."""
+    if not isinstance(name, str) or name not in _TASK_BUILDERS:
+        raise ConfigError(f"unknown task {name!r}")
+    return _call_with_config(_TASK_BUILDERS[name], f"{name} task", cfg)

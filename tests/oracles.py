@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths under test: the
 characteristic polynomial comes from trace power sums, least squares from
 extended-precision arithmetic, reservoir trajectories from scalar
-recursions written out longhand, and cycle densities from an explicit
-enumeration of short cycles.
+recursions written out longhand, closed-loop forecasts one rollout and
+one step at a time, and cycle densities from an explicit enumeration of
+short cycles.
 """
 
 from __future__ import annotations
@@ -126,3 +127,31 @@ def cycle_density_longhand(W, max_length: int = 3) -> tuple[dict[int, float], in
     density = {length: float(net[length]) / edge_count
                for length in range(1, max_length + 1)}
     return density, edge_count
+
+
+def multi_step_errors_longhand(reservoir, readout, states: np.ndarray,
+                               series: np.ndarray, start: int, horizon: int,
+                               anchors: int) -> np.ndarray:
+    """Closed-loop errors at the final step of ``horizon``-step rollouts
+    from evenly spaced anchors of a teacher-forced pass (``states`` over
+    ``series``), one rollout and one step at a time.
+
+    The products are the plain matrix-vector ones (dense up to n=512, CSR
+    above), so the library's batched loop must match this bitwise. A
+    rollout whose output leaves [-1e6, 1e6] scores infinity.
+    """
+    W = reservoir.dense() if reservoir.n <= 512 else sp.csr_matrix(reservoir.W)
+    w_state, w_input = readout.w_out[:-1], readout.w_out[-1]
+    starts = np.linspace(start, len(series) - 1 - horizon, anchors).astype(int)
+    errors = np.empty(len(starts))
+    for idx, t in enumerate(starts):
+        x, u = states[t], float(series[t])
+        for _ in range(horizon):
+            y = float(w_state @ x + w_input * u)
+            if not np.isfinite(y) or abs(y) > 1e6:
+                y = np.inf
+                break
+            u = y
+            x = np.tanh(W @ x + reservoir.w_in * u + reservoir.w_ofb * y)
+        errors[idx] = y - series[t + horizon]
+    return errors

@@ -1,7 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from esnkit.benchmarks import (
+    _multi_step_errors,
+    _next_step_run,
+    _trained_pass,
     benchmark,
     classification_benchmark,
     cycle_evaluator,
@@ -10,7 +15,12 @@ from esnkit.benchmarks import (
     forecast_benchmark,
 )
 from esnkit.esn import score_against_classes, train_class_readouts
-from esnkit.tasks import gen_synthetic_classification, sine_mixture_bundle
+from esnkit.tasks import (
+    gen_synthetic_classification,
+    mackey_glass_bundle,
+    sine_mixture_bundle,
+)
+from oracles import multi_step_errors_longhand
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +43,57 @@ class TestForecastBenchmark:
         res = er_reservoir_for(small_sine_bundle, seed=2)
         assert benchmark(small_sine_bundle, res) == \
             forecast_benchmark(small_sine_bundle, res)
+
+
+def _mackey_glass_rollouts(seed, cycle_density, mean_modulus, n=100):
+    """A Mackey-Glass closed-loop case as ``forecast_benchmark`` builds it,
+    on shortened series: the reservoir, the one-step readout, and the
+    teacher-forced test run (its anchors start at the washout, 700)."""
+    bundle = mackey_glass_bundle(seed=seed, length=3000, washout=700,
+                                 n_neurons=n)
+    res = cycle_reservoir_for(bundle, cycle_density, [seed, 1],
+                              mean_modulus=mean_modulus)
+    readout = _trained_pass(res, bundle, bundle.train, 1e-8)[1]
+    return res, readout, _next_step_run(res, bundle.test, bundle.washout)
+
+
+def _assert_matches_longhand(res, readout, run, start=700):
+    got = _multi_step_errors(res, readout, run, start, 84, 40)
+    want = multi_step_errors_longhand(res, readout, run.states, run.inputs,
+                                      start, 84, 40)
+    assert got.tobytes() == want.tobytes()
+    return got
+
+
+class TestMultiStepErrors:
+    """The batched closed loop against one rollout at a time, bitwise."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("cycle_density", [
+        {}, {1: 0.6}, {1: 0.6, 2: 0.2}, {2: -0.4}])
+    def test_matches_longhand(self, seed, cycle_density):
+        # seed 3 with {2: -0.4} has a diverging anchor (on 2 vCPUs with
+        # OpenBLAS 0.3.31)
+        _assert_matches_longhand(
+            *_mackey_glass_rollouts(seed, cycle_density, 0.6))
+
+    @pytest.mark.parametrize("mean_modulus, all_diverge", [(1.3, False),
+                                                          (1.6, True)])
+    def test_diverging_anchors_match_longhand(self, mean_modulus, all_diverge):
+        # some, then all, of the 40 rollouts leave the divergence limit;
+        # the others run on untouched and nothing warns
+        case = _mackey_glass_rollouts(0, {2: -0.4}, mean_modulus)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            errors = _assert_matches_longhand(*case)
+        n_diverged = np.isinf(errors).sum()
+        assert n_diverged == 40 if all_diverge else 0 < n_diverged < 40
+
+    def test_sparse_reservoir_matches_longhand(self):
+        # n=600 runs the recursion on a CSR matrix, not a dense one
+        res, readout, run = _mackey_glass_rollouts(1, {1: 0.6}, 0.6, n=600)
+        assert res.n > 512
+        _assert_matches_longhand(res, readout, run)
 
 
 class TestClassificationBenchmark:

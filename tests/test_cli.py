@@ -155,14 +155,41 @@ class TestErrors:
                        "bins": [3]}, "bins"),
         ("adapt", {"task": {"name": "sine-mixture", "seed": 3, "length": 2500},
                    "n_seeds": "many"}, "n_seeds"),
+        ("memory", {"reservoir": {"family": "ER", "n": 20, "avg_degree": 4},
+                    "ensemble": 0}, "ensemble"),
+        ("benchmark", {"task": {"name": "sine-mixture", "seed": 1, "length": 1200},
+                       "reservoir": {"family": "ER", "n": 20},
+                       "ensemble": -1}, "ensemble"),
+        ("adapt", {"task": {"name": "sine-mixture", "seed": 3, "length": 2500},
+                   "n_seeds": 0}, "n_seeds"),
     ], ids=["memory_ensemble", "memory_tau_max", "benchmark_bins",
-            "adapt_n_seeds"])
+            "adapt_n_seeds", "memory_empty_ensemble", "benchmark_empty_ensemble",
+            "adapt_no_seeds"])
     def test_malformed_numeric_field(self, tmp_path, capsys, command, cfg, key):
         path = write_config(tmp_path, "c.json", cfg)
         assert run_cli(command, "-c", path, "-o", tmp_path / "o") == 2
         err = self.single_error_line(capsys)
         assert err["error"] == "ParameterError"
         assert repr(key) in err["message"]
+
+    @pytest.mark.parametrize("task, key", [
+        ({"name": "mackey-glass", "bogus": 1}, "bogus"),
+        ({"name": "laser"}, "path"),
+        ({"name": "laser", "path": "x.txt", "n_points": 10}, "n_points"),
+        ({"name": "arabic-digits", "train_path": "a.txt"}, "test_path"),
+        ({"name": "sine-mixture", "length": "x"}, "length"),
+        ({"name": "synthetic-classification", "per_class": 2.5}, "per_class"),
+    ], ids=["unknown_key", "laser_without_path", "laser_extra_key",
+            "digits_without_test_path", "string_length", "float_per_class"])
+    def test_malformed_task_section(self, tmp_path, capsys, task, key):
+        path = write_config(tmp_path, "b.json", {
+            "task": task, "reservoir": {"family": "ER", "n": 20}})
+        assert run_cli("benchmark", "-c", path, "-o", tmp_path / "o",
+                       "--workers", 1) == 2
+        err = self.single_error_line(capsys)
+        assert err["error"] == "ParameterError"
+        assert repr(key) in err["message"]
+        assert err["message"].startswith(f"{task['name']} task config")
 
     def test_malformed_matrix_market(self, tmp_path, capsys):
         path = tmp_path / "bad.mtx"

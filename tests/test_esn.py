@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -11,6 +13,7 @@ from esnkit.errors import (
 )
 from esnkit.esn import (
     TrainedReadout,
+    _free_run,
     _one_step_blocks,
     forecast_free_run,
     run_teacher_forced,
@@ -246,7 +249,31 @@ class TestFreeRun:
         readout = TrainedReadout(np.array([0.0, 0.0, 2.0]), 0.0, 0.0)
         with pytest.raises(DivergenceError) as err:
             forecast_free_run(res, readout, np.zeros(2), 1.0, 100)
-        assert 0 < err.value.step <= 100
+        # y_h = 2^(h+1) first exceeds 1e6 at step 20
+        assert err.value.step == 20
+
+    def test_diverged_row_is_frozen_quietly(self):
+        # y = 2u: the row started at 0 stays at 0; the row started at 1
+        # leaves the limit at step 20. Its input and its state (doubled by
+        # W every step) would overflow before step 2000 if not frozen.
+        res = tiny_reservoir(2.0 * np.eye(2), w_in=[1.0, 0.5])
+        readout = TrainedReadout(np.array([0.0, 0.0, 2.0]), 0.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ys = _free_run(res, readout, np.zeros((2, 2)), np.array([0.0, 1.0]),
+                           2000, "identity")
+        assert_array_equal(ys[0], np.zeros(2000))
+        assert_array_equal(ys[1, :19], 2.0 ** np.arange(1, 20))
+        assert np.all(np.isinf(ys[1, 19:]))
+
+    def test_all_rows_diverged(self):
+        # y = 2u from 1, -4 and 8 leaves the limit at steps 20, 18 and 17
+        res = tiny_reservoir(np.zeros((2, 2)))
+        readout = TrainedReadout(np.array([0.0, 0.0, 2.0]), 0.0, 0.0)
+        ys = _free_run(res, readout, np.zeros((3, 2)), np.array([1.0, -4.0, 8.0]),
+                       50, "tanh")
+        assert np.all(np.isinf(ys[:, 19:]))
+        assert_array_equal(ys[1, :17], -4.0 * 2.0 ** np.arange(1, 18))
 
     def test_horizon_validation(self):
         res = gen_er(5, 1, seed=0)

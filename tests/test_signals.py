@@ -6,7 +6,6 @@ from esnkit.errors import ConstantSeriesError, ParameterError
 from esnkit.esn import run_teacher_forced
 from esnkit.reservoirs import gen_cycle_enhanced, gen_er, make_rng
 from esnkit.signals import (
-    autocorrelation,
     gaussian_smooth,
     normalize_series,
     periodogram,
@@ -101,35 +100,6 @@ class TestReservoirResponse:
         profile = reservoir_response(res, n_trials=2, T=256, seed=8,
                                      match=(0.5, 2.0))
         assert np.all(np.isfinite(profile.power))
-
-
-class TestAutocorrelation:
-    def test_lag_zero_is_one(self, rng):
-        c = autocorrelation(rng.standard_normal(100), 10)
-        assert c[0] == 1.0
-
-    def test_white_noise_small_lags(self, rng):
-        T = 4000
-        c = autocorrelation(rng.standard_normal(T), 20)
-        assert np.all(np.abs(c[1:]) < 4 / np.sqrt(T))
-
-    def test_alternating_series(self):
-        # the biased estimator gives (-1)**k * (T - k)/T exactly
-        T = 100
-        x = np.array([1.0, -1.0] * (T // 2))
-        c = autocorrelation(x, 4)
-        assert c[1] == pytest.approx(-(T - 1) / T, rel=1e-12)
-        assert c[2] == pytest.approx((T - 2) / T, rel=1e-12)
-        assert c[1] == pytest.approx(-1.0, abs=0.05)
-        assert c[2] == pytest.approx(1.0, abs=0.05)
-
-    def test_constant_series_rejected(self):
-        with pytest.raises(ConstantSeriesError):
-            autocorrelation(np.ones(50), 5)
-
-    def test_lag_bound(self):
-        with pytest.raises(ParameterError):
-            autocorrelation(np.arange(10.0), 5)
 
 
 class TestGaussianSmooth:
