@@ -23,7 +23,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import EsnKitError, GenerationError, ParameterError
-from .reservoirs import _normalization_from_config, gen_cycle_enhanced
+from .reservoirs import (_check_config, _normalization_from_config,
+                         gen_cycle_enhanced)
 from .signals import periodogram, reservoir_response
 
 __all__ = [
@@ -139,18 +140,21 @@ def build_response_table(gen_params: Mapping, lengths: Sequence[int] = (1, 2, 3)
     """Average white-noise responses of freshly generated reservoirs over a
     (length, density) grid.
 
-    ``gen_params`` must contain ``n`` and ``connectivity`` and may carry
-    ``normalization`` (mode/value mapping), ``l1_mode``, and ``input_gain``.
-    Tables are cached to ``cache_dir`` keyed by a hash of all parameters.
+    ``gen_params`` holds the arguments of :func:`gen_cycle_enhanced` but
+    ``length``, ``cycle_density`` and ``seed``, which the grid supplies;
+    ``normalization`` may be a mode/value mapping. Tables are cached to
+    ``cache_dir`` keyed by a hash of all parameters.
     """
     if n_instances < 1:
         raise ParameterError("n_instances must be >= 1")
     grid = tuple(float(r) for r in density_grid)
-    if any(abs(r) > 1 for r in grid):
+    if not all(abs(r) <= 1 for r in grid):
         raise ParameterError("density grid must lie within [-1, 1]")
     lengths = tuple(int(length) for length in lengths)
     params = dict(gen_params)
     normalization = _normalization_from_config(params.pop("normalization", None))
+    _check_config(gen_cycle_enhanced, "'gen_params'", params,
+                  supplied=("length", "cycle_density", "seed"))
 
     cache_key = None
     if cache_dir is not None:
@@ -178,12 +182,9 @@ def build_response_table(gen_params: Mapping, lengths: Sequence[int] = (1, 2, 3)
             for inst in range(n_instances):
                 try:
                     res = gen_cycle_enhanced(
-                        n=params["n"], connectivity=params["connectivity"],
                         length=length, cycle_density=density,
                         seed=[seed, length, g_idx, inst],
-                        normalization=normalization,
-                        l1_mode=params.get("l1_mode", "weight_mix"),
-                        input_gain=params.get("input_gain", 1.0))
+                        normalization=normalization, **params)
                     profile = reservoir_response(res, n_trials=n_trials, T=T,
                                                  seed=[seed, length, g_idx, inst],
                                                  match=match, washout=washout)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import functools
 import hashlib
 import json
 import os
@@ -21,6 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -40,7 +42,8 @@ from .errors import (
     ParameterError,
 )
 from .metrics import bin_by_lambda, memory_capacity
-from .reservoirs import _family_key, _normalization_from_config, make_reservoir
+from .reservoirs import (_call_with_config, _family_key,
+                         _normalization_from_config, make_reservoir)
 from .signals import periodogram, reservoir_response
 from .spectral import spectrum_report
 from .storage import (
@@ -75,9 +78,13 @@ def _load_config(args) -> dict:
     cfg = {}
     if args.config:
         path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        cfg = read_json(path)
+        try:
+            cfg = read_json(path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"config file {path}: {exc}") from None
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object, "
+                              f"got {cfg!r}")
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -90,58 +97,26 @@ def _load_config(args) -> dict:
         parts = key.split(".")
         for part in parts[:-1]:
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"--set {item!r}: config field {part!r} "
+                                  f"is not a mapping")
         node[parts[-1]] = value
     return cfg
 
 
-def _number(cfg: dict, key: str, kind: type, default, minimum=None):
-    """``kind(cfg[key])``, or ``default`` when the field is absent or null;
-    a value that does not convert, or is below ``minimum``, is a config
-    error naming the field."""
-    value = cfg.get(key)
-    if value is None:
-        return default
-    try:
-        number = kind(value)
-    except (TypeError, ValueError):
-        raise ParameterError(f"config field {key!r} must be {kind.__name__}, "
-                             f"got {value!r}") from None
-    if minimum is not None and number < minimum:
-        raise ParameterError(f"config field {key!r} must be at least "
-                             f"{minimum}, got {value!r}")
-    return number
+def _sweep_points(param: str, values: Sequence[float]) -> list[tuple]:
+    """``(index, param, value)`` for each point of a ``sweep`` section."""
+    if not values:
+        raise ParameterError("'sweep' config: 'values' must not be empty")
+    return [(i, param, v) for i, v in enumerate(values)]
 
 
-def _number_list(cfg: dict, key: str, kind: type, default) -> tuple:
-    """``cfg[key]`` as a tuple of ``kind``, or ``default`` when the field is
-    absent or null; anything but a list of convertible values is a config
-    error naming the field."""
-    value = cfg.get(key)
-    if value is None:
-        return tuple(default)
-    if isinstance(value, list):
-        try:
-            return tuple(kind(v) for v in value)
-        except (TypeError, ValueError):
-            pass
-    raise ParameterError(f"config field {key!r} must be a list of "
-                         f"{kind.__name__}, got {value!r}")
-
-
-def _sweep_points(cfg: dict) -> list[tuple]:
-    """``(index, param, value)`` for each point of the config's ``sweep``;
-    one point without a parameter when there is no sweep."""
-    sweep = cfg.get("sweep")
-    if sweep is None:
-        return [(0, None, None)]
-    values = sweep.get("values") if isinstance(sweep, dict) else None
-    if (not isinstance(values, list) or not values
-            or not isinstance(sweep.get("param"), str)
-            or not all(isinstance(v, (int, float)) for v in values)):
-        raise ParameterError("config field 'sweep' must be a mapping with a "
-                             "string 'param' and a non-empty list of numbers "
-                             f"as 'values', got {sweep!r}")
-    return [(i, sweep["param"], v) for i, v in enumerate(values)]
+def _at_least_one(**fields) -> None:
+    """A config error for the first of ``fields`` that is below 1."""
+    for key, value in fields.items():
+        if value < 1:
+            raise ParameterError(f"config field {key!r} must be at least 1, "
+                                 f"got {value}")
 
 
 def _read_series(path) -> np.ndarray:
@@ -179,6 +154,25 @@ def _outdir(args) -> Path:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _config_command(body):
+    """The command that runs ``body(args, outdir, cfg, **fields)``, with the
+    config's top-level fields bound to the body's keyword-only parameters by
+    ``_call_with_config``, and records the files the body returns."""
+    name = body.__name__.removeprefix("cmd_")
+
+    @functools.wraps(body)
+    def command(args) -> int:
+        started = time.time()
+        cfg = _load_config(args)
+        outdir = _outdir(args)
+        written = _call_with_config(functools.partial(body, args, outdir, cfg),
+                                    f"{name} command", cfg)
+        _write_manifest(outdir, name, cfg, started, written)
+        return 0
+
+    return command
 
 
 def _cache_dir(args) -> Path | None:
@@ -232,19 +226,13 @@ def _apply_sweep(res_cfg: dict, param: str, value):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_generate(args) -> int:
-    started = time.time()
-    cfg = _load_config(args)
-    if "reservoir" not in cfg:
-        raise ConfigError("config must contain a 'reservoir' section")
-    outdir = _outdir(args)
-    res_cfg = cfg["reservoir"]
-    reservoir = reservoir_from_config(res_cfg, res_cfg.get("seed", 0))
-    written = save_reservoir(reservoir, outdir / "reservoir")
-    _write_manifest(outdir, "generate", cfg, started, list(written))
-    print(f"wrote reservoir ({reservoir.meta.family}, n={reservoir.n}) "
-          f"to {outdir}")
-    return 0
+@_config_command
+def cmd_generate(args, outdir: Path, cfg: dict, *,
+                 reservoir: dict) -> list[Path]:
+    built = reservoir_from_config(reservoir, reservoir.get("seed", 0))
+    written = save_reservoir(built, outdir / "reservoir")
+    print(f"wrote reservoir ({built.meta.family}, n={built.n}) to {outdir}")
+    return list(written)
 
 
 def cmd_spectrum(args) -> int:
@@ -266,44 +254,34 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def cmd_memory(args) -> int:
-    started = time.time()
-    cfg = _load_config(args)
-    if "reservoir" not in cfg:
-        raise ConfigError("config must contain a 'reservoir' section")
-    outdir = _outdir(args)
-    ensemble = _number(cfg, "ensemble", int, 1, minimum=1)
-    seed_base = _number(cfg, "seed_base", int, 0)
-    T = _number(cfg, "T", int, 4000)
-    tau_max = _number(cfg, "tau_max", int, None)
+@_config_command
+def cmd_memory(args, outdir: Path, cfg: dict, *, reservoir: dict,
+               ensemble: int = 1, seed_base: int = 0, T: int = 4000,
+               tau_max: int | None = None,
+               input_kind: str = "uniform") -> list[Path]:
+    _at_least_one(ensemble=ensemble)
+    chash = config_hash(cfg)
     rows = []
     for member in range(ensemble):
-        reservoir = reservoir_from_config(cfg["reservoir"], [seed_base, member])
-        profile = memory_capacity(
-            reservoir,
-            T=T,
-            tau_max=tau_max,
-            seed=[seed_base, member, 1],
-            input_kind=cfg.get("input_kind", "uniform"),
-        )
+        built = reservoir_from_config(reservoir, [seed_base, member])
+        profile = memory_capacity(built, T=T, tau_max=tau_max,
+                                  seed=[seed_base, member, 1],
+                                  input_kind=input_kind)
         doc = memory_profile_to_dict(profile)
-        doc.update(member=member, avg_modulus=_mean_modulus(reservoir),
-                   config_hash=config_hash(cfg))
+        doc.update(member=member, avg_modulus=_mean_modulus(built),
+                   config_hash=chash)
         rows.append(doc)
-    write_json({"config_hash": config_hash(cfg), "members": rows},
-               outdir / "memory.json")
+    write_json({"config_hash": chash, "members": rows}, outdir / "memory.json")
     with open(outdir / "memory.csv", "w") as fh:
-        fh.write(f"# config_hash={config_hash(cfg)}\n")
+        fh.write(f"# config_hash={chash}\n")
         fh.write("member,avg_modulus,total_memory\n")
         for doc in rows:
             fh.write(f"{doc['member']},{doc['avg_modulus']:.8f},"
                      f"{doc['total']:.8f}\n")
-    _write_manifest(outdir, "memory", cfg, started,
-                    [outdir / "memory.json", outdir / "memory.csv"])
     totals = [doc["total"] for doc in rows]
     print(f"memory capacity over {ensemble} members: "
           f"median={np.median(totals):.3f}")
-    return 0
+    return [outdir / "memory.json", outdir / "memory.csv"]
 
 
 def cmd_psd(args) -> int:
@@ -389,15 +367,16 @@ def _benchmark_member(payload) -> tuple[int, int, float, float, float]:
             _mean_modulus(reservoir), score)
 
 
-def cmd_benchmark(args) -> int:
-    started = time.time()
-    cfg = _load_config(args)
-    for key in ("task", "reservoir"):
-        if key not in cfg:
-            raise ConfigError(f"config must contain a {key!r} section")
-    outdir = _outdir(args)
-    bundle = task_from_config(cfg["task"])
-    base_cfg = dict(cfg["reservoir"])
+@_config_command
+def cmd_benchmark(args, outdir: Path, cfg: dict, *, task: dict,
+                  reservoir: dict, sweep: dict | None = None,
+                  ensemble: int = 1, seed_base: int = 0, ridge: float = 1e-8,
+                  bins: int = 10) -> list[Path]:
+    _at_least_one(ensemble=ensemble, bins=bins)
+    points = ([(0, None, None)] if sweep is None
+              else _call_with_config(_sweep_points, "'sweep'", sweep))
+    bundle = task_from_config(task)
+    base_cfg = dict(reservoir)
     defaults = bundle.esn_defaults
     base_cfg.setdefault("n", defaults.n)
     if _family_key(base_cfg.get("family", "ER")) in ("ER", "SF", "PLW"):
@@ -405,12 +384,6 @@ def cmd_benchmark(args) -> int:
         base_cfg.setdefault("normalization",
                             {"mode": "spectral_radius", "value": defaults.alpha})
     base_cfg.setdefault("feedback", defaults.feedback)
-
-    points = _sweep_points(cfg)
-    ensemble = _number(cfg, "ensemble", int, 1, minimum=1)
-    seed_base = _number(cfg, "seed_base", int, 0)
-    ridge = _number(cfg, "ridge", float, 1e-8)
-    n_bins = _number(cfg, "bins", int, 10)
 
     payloads = []
     for sweep_idx, param, value in points:
@@ -438,54 +411,45 @@ def cmd_benchmark(args) -> int:
     points_xy = [(r[3], r[4]) for r in results if np.isfinite(r[4])]
     report = {"config_hash": chash, "task": bundle.name,
               "n_runs": len(results)}
-    if len(points_xy) >= n_bins:
-        report["bins"] = [asdict(b) for b in bin_by_lambda(points_xy, n_bins)]
+    if len(points_xy) >= bins:
+        report["bins"] = [asdict(b) for b in bin_by_lambda(points_xy, bins)]
     by_sweep: dict[float, list[float]] = {}
     for r in results:
         by_sweep.setdefault(r[2], []).append(r[4])
     report["per_sweep_median"] = {
         str(v): float(np.median(scores)) for v, scores in by_sweep.items()}
     write_json(report, outdir / "benchmark.json")
-    _write_manifest(outdir, "benchmark", cfg, started,
-                    [outdir / "results.csv", outdir / "benchmark.json"])
     print(f"{bundle.name}: {len(results)} runs, "
           f"median performance {np.median([r[4] for r in results]):.4f}")
-    return 0
+    return [outdir / "results.csv", outdir / "benchmark.json"]
 
 
-def cmd_adapt(args) -> int:
-    started = time.time()
-    cfg = _load_config(args)
-    if "task" not in cfg:
-        raise ConfigError("config must contain a 'task' section")
-    outdir = _outdir(args)
-    bundle = task_from_config(cfg["task"])
+@_config_command
+def cmd_adapt(args, outdir: Path, cfg: dict, *, task: dict,
+              gen_params: dict | None = None, mean_modulus: float = 0.6,
+              ridge: float = 1e-8, n_seeds: int = 20, seed_base: int = 0,
+              lengths: Sequence[int] = (1, 2, 3),
+              density_grid: Sequence[float] = DEFAULT_DENSITY_GRID,
+              n_instances: int = 10, table_seed: int = 0,
+              response_samples: int = 1024) -> list[Path]:
+    _at_least_one(n_seeds=n_seeds)
+    bundle = task_from_config(task)
     if isinstance(bundle.train, dict):
         raise ConfigError("adaptation expects a forecasting task")
     defaults = bundle.esn_defaults
-    mean_modulus = _number(cfg, "mean_modulus", float, 0.6)
-    ridge = _number(cfg, "ridge", float, 1e-8)
-    n_seeds = _number(cfg, "n_seeds", int, 20, minimum=1)
-    seed_base = _number(cfg, "seed_base", int, 0)
-    gen_params = dict(cfg.get("gen_params", {}))
+    gen_params = dict(gen_params or {})
     gen_params.setdefault("n", defaults.n)
     gen_params.setdefault("connectivity", 2.0 * defaults.avg_degree / defaults.n)
-    gen_params.setdefault("normalization",
-                          {"mode": "avg_modulus", "value": mean_modulus})
+    gen_params.setdefault("normalization", {"mode": "avg_modulus",
+                                            "value": float(mean_modulus)})
 
     signal = (_read_series(args.signal) if args.signal
               else np.asarray(bundle.train, dtype=float))
     table = build_response_table(
-        gen_params,
-        lengths=_number_list(cfg, "lengths", int, (1, 2, 3)),
-        density_grid=_number_list(cfg, "density_grid", float,
-                                  DEFAULT_DENSITY_GRID),
-        n_instances=_number(cfg, "n_instances", int, 10),
-        seed=_number(cfg, "table_seed", int, 0),
-        T=_number(cfg, "response_samples", int, 1024),
+        gen_params, lengths=lengths, density_grid=density_grid,
+        n_instances=n_instances, seed=table_seed, T=response_samples,
         match=(float(np.mean(signal)), float(np.var(signal))),
-        cache_dir=_cache_dir(args),
-    )
+        cache_dir=_cache_dir(args))
     matched = match_signal(table, signal)
 
     evaluate = cycle_evaluator(bundle, mean_modulus=mean_modulus, ridge=ridge)
@@ -510,22 +474,25 @@ def cmd_adapt(args) -> int:
         "fallback": result.fallback,
     }
     write_json(report, outdir / "adaptation.json")
-    _write_manifest(outdir, "adapt", cfg, started, [outdir / "adaptation.json"])
     print(f"adaptation for {bundle.name}: combined={result.combined} "
           f"fallback={result.fallback}")
-    return 0
+    return [outdir / "adaptation.json"]
 
 
 def cmd_verify(args) -> int:
     outdir = Path(args.report_dir)
     manifest_path = outdir / "manifest.json"
-    if not manifest_path.exists():
-        raise DataError(f"no manifest in {outdir}")
-    manifest = read_json(manifest_path)
+    try:
+        manifest = read_json(manifest_path)
+        hash_matches = config_hash(manifest["config"]) == manifest["config_hash"]
+        outputs = dict(manifest.get("outputs", {}))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"unreadable manifest {manifest_path}: "
+                        f"{type(exc).__name__}: {exc}") from None
     problems = []
-    if config_hash(manifest["config"]) != manifest["config_hash"]:
+    if not hash_matches:
         problems.append("config hash mismatch")
-    for name, digest in manifest.get("outputs", {}).items():
+    for name, digest in outputs.items():
         path = outdir / name
         if not path.exists():
             problems.append(f"missing output file {name}")
@@ -533,8 +500,7 @@ def cmd_verify(args) -> int:
             problems.append(f"checksum mismatch for {name}")
     if problems:
         raise ConfigError("; ".join(problems))
-    print(f"{outdir}: manifest verified "
-          f"({len(manifest.get('outputs', {}))} files)")
+    print(f"{outdir}: manifest verified ({len(outputs)} files)")
     return 0
 
 

@@ -48,12 +48,13 @@ SeedLike = int | Sequence[int]
 
 
 def make_rng(seed: SeedLike, *key: int) -> np.random.Generator:
-    """Deterministic generator for ``seed`` plus an optional derivation key."""
-    if isinstance(seed, (int, np.integer)):
-        parts = [int(seed)]
-    else:
-        parts = [int(s) for s in seed]
-    return np.random.default_rng(parts + [int(k) for k in key])
+    """Deterministic generator for ``seed`` plus an optional derivation key;
+    a negative part is a ``ParameterError``."""
+    seeds = [seed] if isinstance(seed, (int, np.integer)) else seed
+    parts = [int(s) for s in (*seeds, *key)]
+    if min(parts, default=0) < 0:
+        raise ParameterError(f"seeds must be non-negative, got {parts}")
+    return np.random.default_rng(parts)
 
 
 @dataclass(frozen=True)
@@ -83,10 +84,7 @@ def _normalization_from_config(norm):
     ``None`` and ``Normalization`` instances pass through unchanged."""
     if norm is None or isinstance(norm, Normalization):
         return norm
-    try:
-        return Normalization(**norm)
-    except TypeError as exc:
-        raise ParameterError(f"normalization {norm!r}: {exc}") from None
+    return _call_with_config(Normalization, "'normalization'", norm)
 
 
 RADIUS_ONE = Normalization("spectral_radius", 1.0)
@@ -228,8 +226,8 @@ def gen_er(n: int, avg_degree: float, seed: SeedLike,
     Each of the ``n*(n-1)`` ordered off-diagonal pairs carries an edge
     independently with probability ``avg_degree / (n - 1)``.
     """
-    if not 0 < avg_degree < n:
-        raise ParameterError("avg_degree must lie in (0, n)")
+    if n < 2 or not 0 < avg_degree < n:
+        raise ParameterError("n must be >= 2 and avg_degree lie in (0, n)")
     rng = make_rng(seed)
     p = avg_degree / (n - 1)
     mask = rng.random((n, n)) < p
@@ -252,8 +250,8 @@ def gen_plw(n: int, avg_degree: float, beta: float, seed: SeedLike,
     """
     if beta <= 2:
         raise ParameterError("beta must exceed 2 for a finite-mean weight law")
-    if not 0 < avg_degree < n:
-        raise ParameterError("avg_degree must lie in (0, n)")
+    if n < 2 or not 0 < avg_degree < n:
+        raise ParameterError("n must be >= 2 and avg_degree lie in (0, n)")
     rng = make_rng(seed)
     p = avg_degree / (n - 1)
     mask = rng.random((n, n)) < p
@@ -576,8 +574,26 @@ _FAMILY_BUILDERS = {
 }
 
 
-_NUMBER_TYPES = {"int": (int, np.integer),
-                 "float": (int, float, np.integer, np.floating)}
+#: Annotation types a config value is checked against; no bool is a number.
+_CONFIG_TYPES = {"int": (int, np.integer),
+                 "float": (int, float, np.integer, np.floating),
+                 "bool": bool, "str": str, "dict": Mapping, "None": type(None)}
+
+
+def _fits(kind: str, value) -> bool:
+    """Whether a config value fits its parameter's annotation ``kind`` (a
+    string: postponed evaluation). Annotations other than unions, ``SeedLike``,
+    ``Sequence[...]`` and the keys of ``_CONFIG_TYPES`` pass anything."""
+    if kind == "SeedLike":
+        kind = "int | Sequence[int]"
+    if " | " in kind:
+        return any(_fits(k, value) for k in kind.split(" | "))
+    if kind.startswith("Sequence["):
+        return (isinstance(value, (list, tuple))
+                and all(_fits(kind[len("Sequence["):-1], v) for v in value))
+    return kind not in _CONFIG_TYPES or (
+        isinstance(value, _CONFIG_TYPES[kind])
+        and (kind == "bool" or not isinstance(value, bool)))
 
 
 def _family_key(family) -> str:
@@ -597,22 +613,32 @@ def make_reservoir(family: str, **kwargs) -> Reservoir:
     return _call_with_config(builder, f"{family} reservoir", kwargs)
 
 
-def _call_with_config(builder, section: str, cfg: dict):
-    """``builder(**cfg)`` after checking ``cfg`` against its signature: an
-    unknown or missing key, or a non-number for an ``int`` or ``float``
-    parameter, is a ``ParameterError`` naming the section and the key."""
+def _check_config(builder, section: str, cfg: Mapping,
+                  supplied: Sequence[str] = ()) -> None:
+    """Check ``cfg`` as the keyword arguments of ``builder``, whose
+    ``supplied`` parameters the caller passes itself: a key of ``supplied``,
+    an unknown or missing key, or a value that does not fit its parameter's
+    annotation is a ``ParameterError`` naming the section and the key."""
+    if not isinstance(cfg, Mapping):
+        raise ParameterError(f"{section} config must be a mapping, got {cfg!r}")
     signature = inspect.signature(builder)
+    for key in supplied:
+        if key in cfg:
+            raise ParameterError(f"{section} config: {key!r} may not be set")
     try:
-        signature.bind(**cfg)
+        signature.bind(**dict.fromkeys(supplied), **cfg)
     except TypeError as exc:
         raise ParameterError(f"{section} config: {exc}") from None
     for key, value in cfg.items():
-        # Annotations are strings here (postponed evaluation).
-        kind = signature.parameters[key].annotation
-        if kind in _NUMBER_TYPES and (isinstance(value, bool) or
-                                      not isinstance(value, _NUMBER_TYPES[kind])):
+        kind = str(signature.parameters[key].annotation)
+        if not _fits(kind, value):
             raise ParameterError(
                 f"{section} config: {key!r} must be {kind}, got {value!r}")
+
+
+def _call_with_config(builder, section: str, cfg: Mapping):
+    """``builder(**cfg)`` once :func:`_check_config` has passed ``cfg``."""
+    _check_config(builder, section, cfg)
     return builder(**cfg)
 
 

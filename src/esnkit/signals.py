@@ -88,8 +88,9 @@ def reservoir_response(reservoir: Reservoir, n_trials: int = 10,
     neuron over ``n_trials`` independent drives. Output feedback is not
     engaged (there is no readout).
     """
-    if n_trials < 1:
-        raise ParameterError("n_trials must be >= 1")
+    if n_trials < 1 or T < 1:
+        raise ParameterError(f"n_trials and T must be >= 1, got {n_trials} "
+                             f"and {T}")
     mean, variance = match
     if variance <= 0:
         raise ParameterError("matched variance must be positive")

@@ -229,6 +229,8 @@ def gen_sine_mixture(length: int = 10093, seed: SeedLike = 0,
                      noise_sigma: float = 0.2) -> np.ndarray:
     """Sum of unit-amplitude sinusoids with random phases plus white noise,
     normalized. Default peaks sit mid-band like the laser record's."""
+    if length < 1:
+        raise ParameterError("length must be >= 1")
     rng = make_rng(seed)
     t = np.arange(length)
     series = np.zeros(length)
@@ -341,10 +343,9 @@ def gen_synthetic_classification(n_classes: int = 10, per_class: int = 50,
     if test_per_class is None:
         test_per_class = max(2, per_class // 5)
     centers = [0.5 * (c + 1) / (n_classes + 1) for c in range(n_classes)]
-    base = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
 
     def recording(label: int, index: int) -> np.ndarray:
-        rng = make_rng(base, label, index)
+        rng = make_rng(seed, label, index)
         t = np.arange(length)
         series = np.zeros(length)
         for _ in range(3):

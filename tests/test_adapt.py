@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from esnkit import adapt
+from esnkit import adapt, reservoirs
 from esnkit.adapt import (
     AdaptationResult,
     ResponseTable,
@@ -123,6 +123,37 @@ class TestBuildResponseTable:
     def test_grid_validation(self):
         with pytest.raises(ParameterError):
             build_response_table(GEN, density_grid=(0.0, 1.5), n_instances=1)
+
+    def test_nan_grid_rejected(self):
+        with pytest.raises(ParameterError):
+            build_response_table(GEN, density_grid=(float("nan"),),
+                                 n_instances=1)
+
+    @pytest.mark.parametrize("extra, key", [
+        ({"l1mode": "edge_count"}, "l1mode"),
+        ({"n": "x"}, "n"),
+        ({"connectivity": None}, "connectivity"),
+        ({"seed": 3}, "seed"),
+    ], ids=["unknown_key", "string_n", "null_connectivity", "sets_seed"])
+    def test_gen_params_checked_before_table_work(self, tmp_path,
+                                                  monkeypatch, extra, key):
+        def no_table_work(*args, **kwargs):
+            raise AssertionError("table work before the gen_params check")
+
+        monkeypatch.setattr(reservoirs, "gen_combined", no_table_work)
+        monkeypatch.setattr(adapt.ResponseTable, "load", no_table_work)
+        with pytest.raises(ParameterError, match=f"'gen_params'.*'{key}'"):
+            build_response_table(dict(GEN, **extra), lengths=(1,),
+                                 density_grid=(0.0,), n_instances=1, T=128,
+                                 cache_dir=tmp_path)
+
+    def test_cache_key_is_stable(self, tmp_path):
+        # The key hashes the parameters only; a change to it orphans every
+        # cached table.
+        build_response_table(GEN, lengths=(1,), density_grid=(0.0, 0.5),
+                             n_instances=2, seed=3, T=128, cache_dir=tmp_path)
+        assert [d.name for d in tmp_path.iterdir()] == [
+            "response_table_af0f02acac8378c5"]
 
 
 class TestMatchSignal:

@@ -126,8 +126,14 @@ class TestErrors:
           "normalization": "radius"}, "normalization"),
         ({"family": "ER", "n": "20", "avg_degree": 4}, "'n'"),
         ({"family": 5, "n": 20, "avg_degree": 4}, "family"),
+        ({"family": "ER", "n": 20, "avg_degree": 4, "feedback": "no"},
+         "'feedback'"),
+        ({"family": "ER", "n": 20, "avg_degree": 4,
+          "normalization": {"mode": "avg_modulus", "value": True}}, "'value'"),
+        ({"family": "ER", "n": 1, "avg_degree": 0.5}, "n must be >= 2"),
     ], ids=["cycle_density_key", "normalization_value", "normalization_string",
-            "string_n", "int_family"])
+            "string_n", "int_family", "string_feedback", "bool_norm_value",
+            "single_node_er"])
     def test_malformed_reservoir_value(self, tmp_path, capsys, reservoir, key):
         cfg = write_config(tmp_path, "g.json", {"reservoir": reservoir})
         assert run_cli("generate", "-c", cfg, "-o", tmp_path / "o") == 2
@@ -162,9 +168,43 @@ class TestErrors:
                        "ensemble": -1}, "ensemble"),
         ("adapt", {"task": {"name": "sine-mixture", "seed": 3, "length": 2500},
                    "n_seeds": 0}, "n_seeds"),
+        ("memory", {"reservoir": {"family": "ER", "n": 20, "avg_degree": 4},
+                    "ensemble": 1.9}, "ensemble"),
+        ("memory", {"reservoir": {"family": "ER", "n": 20, "avg_degree": 4},
+                    "ensemble": True}, "ensemble"),
+        ("memory", {"reservoir": {"family": "ER", "n": 20, "avg_degree": 4},
+                    "T": None}, "T"),
+        ("adapt", {"task": {"name": "sine-mixture", "seed": 3, "length": 2500},
+                   "lengths": [1.7]}, "lengths"),
+        ("memory", {"reservoir": {"family": "ER", "n": 20, "avg_degree": 4},
+                    "ensmble": 3}, "ensmble"),
+        ("benchmark", {"task": {"name": "sine-mixture", "seed": 1, "length": 1200},
+                       "reservoir": {"family": "ER", "n": 20},
+                       "seedbase": 5}, "seedbase"),
+        ("benchmark", {"task": {"name": "sine-mixture", "seed": 1, "length": 1200},
+                       "reservoir": {"family": "ER", "n": 20},
+                       "bins": 0}, "bins"),
+        ("memory", {"ensemble": 1}, "reservoir"),
+        ("memory", {"reservoir": 5}, "reservoir"),
+        ("generate", {"reservoir": [1]}, "reservoir"),
+        ("adapt", {"task": "mackey-glass"}, "task"),
+        ("adapt", {"task": {"name": "sine-mixture", "seed": 3, "length": 2500},
+                   "gen_params": 3}, "gen_params"),
+        ("adapt", {"task": {"name": "sine-mixture", "seed": 3, "length": 2500},
+                   "gen_params": {"l1mode": "edge_count"}}, "gen_params"),
+        ("adapt", {"task": {"name": "sine-mixture", "seed": 3, "length": 2500},
+                   "gen_params": {"n": "x"}}, "gen_params"),
+        ("adapt", {"task": {"name": "sine-mixture", "seed": 3, "length": 2500},
+                   "gen_params": {"n": 20, "length": 2}}, "gen_params"),
     ], ids=["memory_ensemble", "memory_tau_max", "benchmark_bins",
             "adapt_n_seeds", "memory_empty_ensemble", "benchmark_empty_ensemble",
-            "adapt_no_seeds"])
+            "adapt_no_seeds", "memory_float_ensemble", "memory_bool_ensemble",
+            "memory_null_T", "adapt_float_lengths", "memory_misspelt_key",
+            "benchmark_misspelt_key", "benchmark_zero_bins",
+            "memory_no_reservoir", "memory_int_reservoir", "generate_list_reservoir",
+            "adapt_string_task", "adapt_int_gen_params",
+            "adapt_gen_params_unknown_key", "adapt_gen_params_string_n",
+            "adapt_gen_params_sets_length"])
     def test_malformed_numeric_field(self, tmp_path, capsys, command, cfg, key):
         path = write_config(tmp_path, "c.json", cfg)
         assert run_cli(command, "-c", path, "-o", tmp_path / "o") == 2
@@ -179,8 +219,11 @@ class TestErrors:
         ({"name": "arabic-digits", "train_path": "a.txt"}, "test_path"),
         ({"name": "sine-mixture", "length": "x"}, "length"),
         ({"name": "synthetic-classification", "per_class": 2.5}, "per_class"),
+        ({"name": "sine-mixture", "seed": "a", "length": 1200}, "seed"),
+        ({"name": "mackey-glass", "seed": [1, 2.5]}, "seed"),
     ], ids=["unknown_key", "laser_without_path", "laser_extra_key",
-            "digits_without_test_path", "string_length", "float_per_class"])
+            "digits_without_test_path", "string_length", "float_per_class",
+            "string_seed", "float_in_seed_list"])
     def test_malformed_task_section(self, tmp_path, capsys, task, key):
         path = write_config(tmp_path, "b.json", {
             "task": task, "reservoir": {"family": "ER", "n": 20}})
@@ -234,6 +277,40 @@ class TestErrors:
         err = self.single_error_line(capsys)
         assert err["error"] == "ParameterError"
         assert repr(field) in err["message"]
+
+    @pytest.mark.parametrize("text, sets", [
+        ('{"reservoir": ', []),
+        ('["reservoir"]', []),
+        ('{"reservoir": {"family": "ER", "n": 10, "avg_degree": 2}}',
+         ["reservoir.family.name=ER"]),
+    ], ids=["not_json", "not_an_object", "set_through_string"])
+    def test_malformed_config_file(self, tmp_path, capsys, text, sets):
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        args = [a for item in sets for a in ("--set", item)]
+        assert run_cli("generate", "-c", path, "-o", tmp_path / "o",
+                       *args) == 2
+        assert self.single_error_line(capsys)["error"] == "ConfigError"
+
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        assert run_cli("generate", "-c", tmp_path, "-o", tmp_path / "o") == 2
+        assert self.single_error_line(capsys)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("text", [
+        '{"config": {}',
+        '{"config_hash": "0123", "outputs": {}}',
+        '{"config": {}, "outputs": {}}',
+        '{"config": {}, "config_hash": "0123", "outputs": [1]}',
+    ], ids=["not_json", "no_config", "no_config_hash", "outputs_not_mapping"])
+    def test_malformed_manifest(self, tmp_path, capsys, text):
+        (tmp_path / "manifest.json").write_text(text)
+        assert run_cli("verify", tmp_path) == 3
+        assert self.single_error_line(capsys)["error"] == "DataError"
+
+    def test_manifest_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").mkdir()
+        assert run_cli("verify", tmp_path) == 3
+        assert self.single_error_line(capsys)["error"] == "DataError"
 
 
 _ABSENT = object()
@@ -337,6 +414,127 @@ _FUZZED_GRID = _valid_or(
     | st.lists(_NUMBERS | st.text(max_size=2) | st.none(), max_size=2))
 
 
+#: Values of another type or range than a field's: strings, nulls, bools,
+#: floats where an int belongs, lists and mappings.
+_JUNK = (_NUMBERS | st.text(max_size=3) | st.none() | st.booleans()
+         | st.lists(_NUMBERS | st.text(max_size=2), max_size=2)
+         | st.dictionaries(st.text(max_size=2), _NUMBERS, max_size=1))
+
+#: Misspelt or unknown top-level keys.
+_UNKNOWN_KEYS = st.dictionaries(
+    st.sampled_from(["ensmble", "seedbase", "Ridge", "n_seed", "tau"]),
+    _NUMBERS, min_size=1, max_size=1)
+
+
+def _fuzzed_fields(fixed: dict, valid: dict):
+    """Configs holding ``fixed`` and each field of ``valid``: the field is
+    drawn from its strategy half the time and from ``_JUNK`` otherwise, and
+    half the time the config also holds an unknown key."""
+    return st.tuples(
+        st.fixed_dictionaries({key: _valid_or(strategy, _JUNK)
+                               for key, strategy in valid.items()}),
+        _valid_or(st.just({}), _UNKNOWN_KEYS),
+    ).map(lambda drawn: {**fixed, **drawn[1], **{
+        key: value for key, value in drawn[0].items()
+        if value is not _ABSENT}})
+
+
+_OPTIONAL_SEED = st.just(_ABSENT) | st.integers(0, 3)
+
+_FUZZED_MEMORY = _fuzzed_fields(
+    {"reservoir": {"family": "ER", "n": 10, "avg_degree": 3}},
+    {"ensemble": st.just(_ABSENT) | st.integers(1, 2),
+     "seed_base": _OPTIONAL_SEED,
+     "T": st.integers(200, 400),
+     "tau_max": st.just(_ABSENT) | st.none() | st.integers(1, 10),
+     "input_kind": st.sampled_from([_ABSENT, "uniform", "gaussian"])})
+
+#: Task sections whose ``seed`` and ``length`` are each valid half the time.
+_FUZZED_TASK = st.fixed_dictionaries({
+    "name": st.just("sine-mixture"),
+    "seed": _valid_or(_OPTIONAL_SEED | st.lists(st.integers(0, 3),
+                                                min_size=1, max_size=2),
+                      _JUNK | st.lists(_JUNK, min_size=1, max_size=2)),
+    "length": _valid_or(st.just(1200), _JUNK | st.integers(-5, 40)),
+}).map(lambda task: {k: v for k, v in task.items() if v is not _ABSENT})
+
+_FUZZED_BENCHMARK = _fuzzed_fields(
+    {"task": _TINY_TASK,
+     "reservoir": {"family": "ER", "n": 10, "avg_degree": 3}},
+    {"ensemble": st.just(_ABSENT) | st.integers(1, 2),
+     "seed_base": _OPTIONAL_SEED,
+     "ridge": st.just(_ABSENT) | st.floats(1e-9, 1e-3),
+     "bins": st.just(_ABSENT) | st.integers(1, 3)})
+
+#: ``gen_params``: half the time a small valid section, otherwise another
+#: type, a junk value, a misspelt key or a key the table supplies itself.
+_FUZZED_GEN_PARAMS = _valid_or(
+    st.fixed_dictionaries({"n": st.integers(4, 10),
+                           "connectivity": st.floats(0.1, 0.5)},
+                          optional={"l1_mode": st.sampled_from(
+                              ["weight_mix", "edge_count"])}),
+    _JUNK | st.fixed_dictionaries({"n": _JUNK, "connectivity": _JUNK})
+    | st.dictionaries(st.sampled_from(["l1mode", "length", "seed",
+                                       "cycle_density"]),
+                      _NUMBERS, min_size=1, max_size=1).map(
+        lambda extra: {"n": 8, "connectivity": 0.3, **extra}))
+
+#: Fields that are expensive at their defaults are never left out.
+_SMALL_ADAPT = {"task": _TINY_TASK, "lengths": [1], "density_grid": [0.0, 0.5],
+                "gen_params": {"n": 8, "connectivity": 0.3}, "n_instances": 1,
+                "response_samples": 64, "n_seeds": 1}
+_FUZZED_ADAPT = _fuzzed_fields(
+    _SMALL_ADAPT,
+    {"mean_modulus": st.just(_ABSENT) | st.floats(0.3, 0.9),
+     "ridge": st.just(_ABSENT) | st.floats(1e-9, 1e-3),
+     "n_seeds": st.integers(1, 2),
+     "seed_base": _OPTIONAL_SEED,
+     "table_seed": _OPTIONAL_SEED,
+     "response_samples": st.integers(32, 64)})
+
+
+class TestCommandFieldsFuzz:
+    @staticmethod
+    def run(command, cfg, *extra):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_config(Path(tmp), "c.json", cfg)
+            _assert_clean_exit(*_run_quietly(
+                command, "-c", path, "-o", Path(tmp) / "o", *extra))
+
+    # Most draws fail fast on a junk field; those that pass are the cost.
+    @settings(max_examples=250, derandomize=True, database=None,
+              deadline=None)
+    @given(_FUZZED_MEMORY)
+    def test_memory(self, cfg):
+        self.run("memory", cfg)
+
+    @settings(max_examples=150, derandomize=True, database=None,
+              deadline=None)
+    @given(_FUZZED_BENCHMARK)
+    def test_benchmark(self, cfg):
+        self.run("benchmark", cfg, "--workers", 1)
+
+    @settings(max_examples=100, derandomize=True, database=None,
+              deadline=None)
+    @given(_FUZZED_ADAPT)
+    def test_adapt(self, cfg):
+        self.run("adapt", cfg)
+
+    @settings(max_examples=40, derandomize=True, database=None,
+              deadline=None)
+    @given(_FUZZED_TASK)
+    def test_task_section(self, task):
+        self.run("benchmark", {
+            "task": task, "reservoir": {"family": "ER", "n": 10,
+                                        "avg_degree": 3}}, "--workers", 1)
+
+    @settings(max_examples=40, derandomize=True, database=None,
+              deadline=None)
+    @given(_FUZZED_GEN_PARAMS)
+    def test_gen_params(self, gen_params):
+        self.run("adapt", dict(_SMALL_ADAPT, gen_params=gen_params))
+
+
 class TestBenchmarkAdaptFuzz:
     @settings(max_examples=100, derandomize=True, database=None,
               deadline=None)
@@ -380,14 +578,16 @@ class TestMemoryCommand:
             assert 0 <= member["total"] <= 20
         assert (out / "memory.csv").read_text().startswith("# config_hash=")
 
-    def test_numeric_strings_convert(self, tmp_path):
+    def test_numeric_strings_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "m.json", {
             "reservoir": {"family": "ER", "n": 20, "avg_degree": 4},
             "ensemble": "2", "T": "600", "tau_max": "10"})
-        assert run_cli("memory", "-c", cfg, "-o", tmp_path / "mem") == 0
-        members = read_json(tmp_path / "mem" / "memory.json")["members"]
-        assert len(members) == 2
-        assert all(m["tau_max_used"] == 10 for m in members)
+        assert run_cli("memory", "-c", cfg, "-o", tmp_path / "mem") == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ParameterError"
+        assert "'ensemble'" in err["message"]
 
     def test_one_decomposition_per_member(self, tmp_path, eig_calls):
         cfg = write_config(tmp_path, "m.json", {

@@ -354,6 +354,11 @@ class TestMakeReservoir:
         with pytest.raises(ParameterError, match=repr(key)):
             make_reservoir("ER", **kwargs)
 
+    @pytest.mark.parametrize("seed", [-1, [0, -2]])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ParameterError, match="non-negative"):
+            make_reservoir("ER", n=20, avg_degree=4, seed=seed)
+
 
 # Every normalized family, keyed by a label; each builder takes
 # (normalization, seed).

@@ -101,6 +101,11 @@ class TestReservoirResponse:
                                      match=(0.5, 2.0))
         assert np.all(np.isfinite(profile.power))
 
+    @pytest.mark.parametrize("kwargs", [{"T": 0}, {"T": -3}, {"n_trials": 0}])
+    def test_empty_drive_rejected(self, kwargs):
+        with pytest.raises(ParameterError):
+            reservoir_response(gen_er(10, 3, seed=1), **kwargs)
+
 
 class TestGaussianSmooth:
     def test_constant_unchanged(self):

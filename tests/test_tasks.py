@@ -114,6 +114,11 @@ class TestLaser:
             outside = (profile.freqs > f + 0.03) & (profile.freqs < f + 0.05)
             assert profile.power[band].max() > 10 * profile.power[outside].mean()
 
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_sine_mixture_without_samples_rejected(self, length):
+        with pytest.raises(ParameterError):
+            gen_sine_mixture(length)
+
     def test_wrong_count_warns_and_splits_proportionally(self, tmp_path, rng):
         values = rng.integers(0, 256, 5000)
         with pytest.warns(UserWarning, match="proportionally"):
