@@ -16,6 +16,7 @@ import json
 import shutil
 import tempfile
 import warnings
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -38,72 +39,53 @@ __all__ = [
 
 DEFAULT_DENSITY_GRID = (-0.8, -0.6, -0.4, -0.2, 0.0, 0.2, 0.4, 0.6, 0.8)
 
-#: Version of the response-table algorithm and file layout. It is part of the
-#: cache key: bump it whenever a change would alter a cached table.
+#: Version of the response-table values. It is part of the cache key: bump it
+#: whenever a change would alter the values of a cached table.
 _TABLE_FORMAT = 1
 
 
 @dataclass
 class ResponseTable:
-    """Averaged reservoir frequency responses on a (length, density) grid.
-
-    All profiles share one frequency grid; ``profiles`` maps
-    ``(length, density)`` to an averaged power spectrum.
-    """
+    """Averaged reservoir frequency responses on a (length, density) grid:
+    ``power[i, j]`` is the averaged power spectrum on ``freqs`` of cycle
+    length ``lengths[i]`` at density ``density_grid[j]``."""
 
     freqs: np.ndarray
-    profiles: dict[tuple[int, float], np.ndarray]
+    power: np.ndarray
     lengths: tuple[int, ...]
     density_grid: tuple[float, ...]
-    gen_params: dict
-    n_instances: int
-    seed: int
+
+    @property
+    def profiles(self) -> dict[tuple[int, float], np.ndarray]:
+        """``(length, density)`` -> its ``power`` row; read by perfbench."""
+        return dict(zip(itertools.product(self.lengths, self.density_grid),
+                        self.power.reshape(-1, len(self.freqs))))
 
     def save(self, directory) -> None:
-        """Write the table in a temporary sibling directory, then move it into
-        place, so a crash never leaves a partial table under the final name."""
+        """Write ``table.npz`` in a temporary sibling directory, then move
+        it into place, so a crash never leaves a partial table."""
         final = Path(directory)
         final.parent.mkdir(parents=True, exist_ok=True)
         with tempfile.TemporaryDirectory(dir=final.parent) as tmp:
             directory = Path(tmp) / final.name
             directory.mkdir()
-            index = {
-                "lengths": list(self.lengths),
-                "density_grid": list(self.density_grid),
-                "gen_params": self.gen_params,
-                "n_instances": self.n_instances,
-                "seed": self.seed,
-                "profiles": [],
-            }
-            np.savetxt(directory / "freqs.csv", self.freqs, header="freq",
-                       comments="# ")
-            for (length, density), power in sorted(self.profiles.items()):
-                name = f"profile_L{length}_rho{density:+.4f}.csv"
-                np.savetxt(directory / name,
-                           np.column_stack([self.freqs, power]),
-                           delimiter=",", header="freq,power", comments="# ")
-                index["profiles"].append(
-                    {"length": length, "density": density, "file": name})
-            with open(directory / "index.json", "w") as fh:
-                json.dump(index, fh, indent=2, sort_keys=True)
+            np.savez(directory / "table.npz", freqs=self.freqs,
+                     power=self.power, lengths=self.lengths,
+                     density_grid=self.density_grid)
             shutil.rmtree(final, ignore_errors=True)  # a damaged older table
             directory.replace(final)
 
     @classmethod
     def load(cls, directory) -> "ResponseTable":
-        directory = Path(directory)
-        with open(directory / "index.json") as fh:
-            index = json.load(fh)
-        freqs = np.loadtxt(directory / "freqs.csv")
-        profiles = {}
-        for entry in index["profiles"]:
-            data = np.loadtxt(directory / entry["file"], delimiter=",")
-            profiles[(int(entry["length"]), float(entry["density"]))] = data[:, 1]
-        return cls(freqs=freqs, profiles=profiles,
-                   lengths=tuple(index["lengths"]),
-                   density_grid=tuple(index["density_grid"]),
-                   gen_params=index["gen_params"],
-                   n_instances=index["n_instances"], seed=index["seed"])
+        with np.load(Path(directory) / "table.npz") as data:
+            table = cls(freqs=data["freqs"], power=data["power"],
+                        lengths=tuple(data["lengths"].tolist()),
+                        density_grid=tuple(data["density_grid"].tolist()))
+        shape = (len(table.lengths), len(table.density_grid), len(table.freqs))
+        if table.power.shape != shape:
+            raise ValueError(f"power has shape {table.power.shape}, "
+                             f"not {shape}")
+        return table
 
 
 @dataclass
@@ -130,6 +112,17 @@ class AdaptationResult:
     fallback: bool = False
 
 
+def _checked_gen_params(gen_params: Mapping, filled: Sequence[str] = ()):
+    """Check ``gen_params`` and split it into the other arguments of
+    :func:`gen_cycle_enhanced` and the normalization. The grid supplies
+    ``length``, ``cycle_density`` and ``seed``; the caller fills ``filled``."""
+    params = dict(gen_params)
+    normalization = _normalization_from_config(params.pop("normalization", None))
+    _check_config(gen_cycle_enhanced, "'gen_params'", params,
+                  supplied=("length", "cycle_density", "seed", *filled))
+    return params, normalization
+
+
 def build_response_table(gen_params: Mapping, lengths: Sequence[int] = (1, 2, 3),
                          density_grid: Sequence[float] = DEFAULT_DENSITY_GRID,
                          n_instances: int = 10, seed: int = 0, *,
@@ -148,13 +141,12 @@ def build_response_table(gen_params: Mapping, lengths: Sequence[int] = (1, 2, 3)
     if n_instances < 1:
         raise ParameterError("n_instances must be >= 1")
     grid = tuple(float(r) for r in density_grid)
+    lengths = tuple(int(length) for length in lengths)
+    if not lengths or not grid:
+        raise ParameterError("'lengths' and 'density_grid' must not be empty")
     if not all(abs(r) <= 1 for r in grid):
         raise ParameterError("density grid must lie within [-1, 1]")
-    lengths = tuple(int(length) for length in lengths)
-    params = dict(gen_params)
-    normalization = _normalization_from_config(params.pop("normalization", None))
-    _check_config(gen_cycle_enhanced, "'gen_params'", params,
-                  supplied=("length", "cycle_density", "seed"))
+    params, normalization = _checked_gen_params(gen_params)
 
     cache_key = None
     if cache_dir is not None:
@@ -171,11 +163,10 @@ def build_response_table(gen_params: Mapping, lengths: Sequence[int] = (1, 2, 3)
         cached = Path(cache_dir) / f"response_table_{cache_key}"
         try:
             return ResponseTable.load(cached)
-        except (OSError, ValueError, KeyError, IndexError):
+        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
             pass  # absent or damaged: a cache miss, rebuilt and rewritten below
 
-    profiles: dict[tuple[int, float], np.ndarray] = {}
-    freqs = None
+    rows = []
     for length in lengths:
         for g_idx, density in enumerate(grid):
             total = None
@@ -193,12 +184,11 @@ def build_response_table(gen_params: Mapping, lengths: Sequence[int] = (1, 2, 3)
                         f"grid point (length={length}, density={density}, "
                         f"instance={inst}): {exc}") from exc
                 total = profile.power if total is None else total + profile.power
-                freqs = profile.freqs
-            profiles[(length, density)] = total / n_instances
+            rows.append(total / n_instances)
 
-    table = ResponseTable(freqs=freqs, profiles=profiles, lengths=lengths,
-                          density_grid=grid, gen_params=dict(gen_params),
-                          n_instances=n_instances, seed=seed)
+    power = np.array(rows).reshape(len(lengths), len(grid), -1)
+    table = ResponseTable(freqs=profile.freqs, power=power, lengths=lengths,
+                          density_grid=grid)
     if cache_dir is not None:
         table.save(Path(cache_dir) / f"response_table_{cache_key}")
     return table
@@ -238,16 +228,14 @@ def match_signal(table: ResponseTable, signal) -> AdaptationResult:
     the smaller magnitude. Pure functions of (table, signal); rescaling the
     signal cannot change any argmax.
     """
-    if not table.profiles:
+    if not table.power.size:
         raise ParameterError("response table is empty")
     amplitude = _signal_amplitude_on(table, np.asarray(signal, dtype=float))
     scores: dict[int, dict[float, float]] = {}
     selected: dict[int, float] = {}
-    for length in table.lengths:
-        per_rho = {
-            density: float(amplitude @ np.sqrt(table.profiles[(length, density)]))
-            for density in table.density_grid
-        }
+    for length, rows in zip(table.lengths, table.power):
+        per_rho = {density: float(amplitude @ np.sqrt(row))
+                   for density, row in zip(table.density_grid, rows)}
         scores[length] = per_rho
         best = max(per_rho.values())
         candidates = [d for d, s in per_rho.items() if s == best]

@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from .adapt import (
     DEFAULT_DENSITY_GRID,
+    _checked_gen_params,
     build_response_table,
     match_signal,
     validate_and_combine,
@@ -377,13 +378,15 @@ def cmd_benchmark(args, outdir: Path, cfg: dict, *, task: dict,
               else _call_with_config(_sweep_points, "'sweep'", sweep))
     bundle = task_from_config(task)
     base_cfg = dict(reservoir)
+    family = _family_key(base_cfg.get("family", "ER"))
     defaults = bundle.esn_defaults
     base_cfg.setdefault("n", defaults.n)
-    if _family_key(base_cfg.get("family", "ER")) in ("ER", "SF", "PLW"):
+    if family in ("ER", "SF", "PLW"):
         base_cfg.setdefault("avg_degree", defaults.avg_degree)
         base_cfg.setdefault("normalization",
                             {"mode": "spectral_radius", "value": defaults.alpha})
-    base_cfg.setdefault("feedback", defaults.feedback)
+    if family != "DELAY_LINE":  # the only builder without feedback
+        base_cfg.setdefault("feedback", defaults.feedback)
 
     payloads = []
     for sweep_idx, param, value in points:
@@ -433,11 +436,13 @@ def cmd_adapt(args, outdir: Path, cfg: dict, *, task: dict,
               n_instances: int = 10, table_seed: int = 0,
               response_samples: int = 1024) -> list[Path]:
     _at_least_one(n_seeds=n_seeds)
+    gen_params = dict(gen_params or {})
+    _checked_gen_params(gen_params, filled=[key for key in ("n", "connectivity")
+                                            if key not in gen_params])
     bundle = task_from_config(task)
     if isinstance(bundle.train, dict):
         raise ConfigError("adaptation expects a forecasting task")
     defaults = bundle.esn_defaults
-    gen_params = dict(gen_params or {})
     gen_params.setdefault("n", defaults.n)
     gen_params.setdefault("connectivity", 2.0 * defaults.avg_degree / defaults.n)
     gen_params.setdefault("normalization", {"mode": "avg_modulus",

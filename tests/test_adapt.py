@@ -1,8 +1,8 @@
-import json
+import dataclasses
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_array_equal
 
 from esnkit import adapt, reservoirs
 from esnkit.adapt import (
@@ -26,24 +26,28 @@ def small_table():
 
 
 def synthetic_table(profiles):
-    freqs = np.fft.rfftfreq(256)
+    """A table from ``{(length, density): power}`` covering a full grid."""
     lengths = tuple(sorted({L for L, _ in profiles}))
     grid = tuple(sorted({r for _, r in profiles}))
-    return ResponseTable(freqs=freqs, profiles=profiles, lengths=lengths,
-                         density_grid=grid, gen_params={}, n_instances=1,
-                         seed=0)
+    power = np.array([[profiles[(L, r)] for r in grid] for L in lengths])
+    return ResponseTable(freqs=np.fft.rfftfreq(256), power=power,
+                         lengths=lengths, density_grid=grid)
 
 
 class TestBuildResponseTable:
     def test_shapes_and_common_grid(self, small_table):
+        assert [f.name for f in dataclasses.fields(ResponseTable)] == [
+            "freqs", "power", "lengths", "density_grid"]
+        assert small_table.lengths == (1, 2)
+        assert small_table.density_grid == (-0.5, 0.0, 0.5)
+        assert small_table.power.shape == (2, 3) + small_table.freqs.shape
+        assert np.all(small_table.power >= 0)
         assert len(small_table.profiles) == 6
-        for power in small_table.profiles.values():
-            assert power.shape == small_table.freqs.shape
-            assert np.all(power >= 0)
+        assert_array_equal(small_table.profiles[(1, 0.5)],
+                           small_table.power[0, 2])
 
     def test_zero_density_column_similar_across_lengths(self, small_table):
-        a = small_table.profiles[(1, 0.0)]
-        b = small_table.profiles[(2, 0.0)]
+        a, b = small_table.power[:, 1]  # density 0.0 at lengths 1 and 2
         # same ensemble up to Monte-Carlo noise: compare band means
         edges = np.linspace(0.05, 0.45, 5)
         for lo, hi in zip(edges[:-1], edges[1:]):
@@ -51,18 +55,20 @@ class TestBuildResponseTable:
             assert a[band].mean() == pytest.approx(b[band].mean(), rel=0.5)
 
     def test_positive_l1_profile_decreases(self, small_table):
-        power = small_table.profiles[(1, 0.5)]
+        power = small_table.power[0, 2]  # length 1, density 0.5
         low = power[small_table.freqs <= 0.1].mean()
         high = power[small_table.freqs >= 0.4].mean()
         assert low > high
 
     def test_save_load_round_trip(self, small_table, tmp_path):
         small_table.save(tmp_path / "table")
+        assert [f.name for f in (tmp_path / "table").iterdir()] == [
+            "table.npz"]
         loaded = ResponseTable.load(tmp_path / "table")
         assert loaded.lengths == small_table.lengths
         assert loaded.density_grid == small_table.density_grid
-        for key, power in small_table.profiles.items():
-            assert_allclose(loaded.profiles[key], power, rtol=1e-6)
+        assert_array_equal(loaded.freqs, small_table.freqs)
+        assert_array_equal(loaded.power, small_table.power)
 
     def test_cache_round_trip(self, tmp_path):
         a = build_response_table(GEN, lengths=(1,), density_grid=(0.0, 0.5),
@@ -73,22 +79,58 @@ class TestBuildResponseTable:
         b = build_response_table(GEN, lengths=(1,), density_grid=(0.0, 0.5),
                                  n_instances=2, seed=3, T=128,
                                  cache_dir=tmp_path)
-        for key in a.profiles:
-            assert_allclose(b.profiles[key], a.profiles[key], rtol=1e-6)
+        assert (b.lengths, b.density_grid) == (a.lengths, a.density_grid)
+        assert_array_equal(b.freqs, a.freqs)
+        assert_array_equal(b.power, a.power)
 
-    def test_truncated_cache_is_rebuilt(self, tmp_path):
+    @staticmethod
+    def assert_rebuilt_in_place(cache_dir, damage):
+        """Cache a table, ``damage(table_dir)``, then check that the next
+        build misses the cache and replaces that directory with a fresh
+        ``table.npz``."""
         kwargs = dict(lengths=(1,), density_grid=(0.0, 0.5), n_instances=2,
                       seed=3, T=128)
         fresh = build_response_table(GEN, **kwargs)
-        build_response_table(GEN, **kwargs, cache_dir=tmp_path)
-        (cached,) = tmp_path.glob("response_table_*")
-        index = cached / "index.json"
-        index.write_text(index.read_text()[:40])
-        rebuilt = build_response_table(GEN, **kwargs, cache_dir=tmp_path)
-        for key, power in fresh.profiles.items():
-            assert_array_equal(rebuilt.profiles[key], power)
-        assert json.loads(index.read_text())["seed"] == 3
-        assert list(tmp_path.iterdir()) == [cached]
+        build_response_table(GEN, **kwargs, cache_dir=cache_dir)
+        (cached,) = cache_dir.glob("response_table_*")
+        damage(cached)
+        rebuilt = build_response_table(GEN, **kwargs, cache_dir=cache_dir)
+        assert_array_equal(rebuilt.power, fresh.power)
+        assert list(cache_dir.iterdir()) == [cached]
+        assert [f.name for f in cached.iterdir()] == ["table.npz"]
+        assert_array_equal(ResponseTable.load(cached).power, fresh.power)
+
+    def test_truncated_cache_is_rebuilt(self, tmp_path):
+        # An empty file, a cut inside the zip magic and a cut archive raise
+        # EOFError, ValueError and zipfile.BadZipFile on load.
+        for keep in (0, 3, 100, -1):
+            def truncate(cached):
+                npz = cached / "table.npz"
+                npz.write_bytes(npz.read_bytes()[:keep])
+
+            self.assert_rebuilt_in_place(tmp_path / str(keep), truncate)
+
+    def test_mismatched_power_shape_is_rebuilt(self, tmp_path):
+        def drop_a_density(cached):
+            with np.load(cached / "table.npz") as data:
+                arrays = dict(data)
+            arrays["power"] = arrays["power"][:, :1]
+            np.savez(cached / "table.npz", **arrays)
+
+        self.assert_rebuilt_in_place(tmp_path, drop_a_density)
+
+    def test_old_csv_layout_is_rebuilt(self, tmp_path):
+        def old_layout(cached):
+            # One CSV per grid point plus index.json, as earlier versions
+            # wrote under the same cache key.
+            (cached / "table.npz").unlink()
+            (cached / "freqs.csv").write_text("# freq\n0.0\n0.5\n")
+            for name in ("profile_L1_rho+0.0000.csv",
+                         "profile_L1_rho+0.5000.csv"):
+                (cached / name).write_text("# freq,power\n0.0,1.0\n0.5,1.0\n")
+            (cached / "index.json").write_text('{"profiles": []}')
+
+        self.assert_rebuilt_in_place(tmp_path, old_layout)
 
     def test_other_table_format_is_a_cache_miss(self, tmp_path, monkeypatch):
         kwargs = dict(lengths=(1,), density_grid=(0.0,), n_instances=1,
@@ -104,12 +146,11 @@ class TestBuildResponseTable:
     def test_interrupted_save_leaves_no_table(self, small_table, tmp_path,
                                               monkeypatch):
         def crash(path, *args, **kwargs):
-            if "profile_" in str(path):
-                raise KeyboardInterrupt
-            return real_savetxt(path, *args, **kwargs)
+            with open(path, "wb") as fh:
+                fh.write(b"PK\x03\x04")  # a partly written archive
+            raise KeyboardInterrupt
 
-        real_savetxt = np.savetxt
-        monkeypatch.setattr(np, "savetxt", crash)
+        monkeypatch.setattr(np, "savez", crash)
         with pytest.raises(KeyboardInterrupt):
             small_table.save(tmp_path / "table")
         assert list(tmp_path.iterdir()) == []
@@ -123,6 +164,18 @@ class TestBuildResponseTable:
     def test_grid_validation(self):
         with pytest.raises(ParameterError):
             build_response_table(GEN, density_grid=(0.0, 1.5), n_instances=1)
+
+    @pytest.mark.parametrize("field", ["lengths", "density_grid"])
+    def test_empty_grid_rejected_before_cache(self, tmp_path, monkeypatch,
+                                              field):
+        def no_cache(*args, **kwargs):
+            raise AssertionError("cache lookup for an empty grid")
+
+        monkeypatch.setattr(adapt.ResponseTable, "load", no_cache)
+        with pytest.raises(ParameterError, match="must not be empty"):
+            build_response_table(GEN, **{field: ()}, n_instances=1, T=128,
+                                 cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_nan_grid_rejected(self):
         with pytest.raises(ParameterError):
@@ -187,7 +240,8 @@ class TestMatchSignal:
 
     def test_empty_table_rejected(self):
         table = synthetic_table({(1, 0.0): np.ones(129)})
-        table.profiles = {}
+        table.power = table.power[:, :0]
+        table.density_grid = ()
         with pytest.raises(ParameterError):
             match_signal(table, np.zeros(100))
 

@@ -212,6 +212,30 @@ class TestErrors:
         assert err["error"] == "ParameterError"
         assert repr(key) in err["message"]
 
+    @pytest.mark.parametrize("field", ["lengths", "density_grid"])
+    def test_empty_grid_with_cache(self, tmp_path, capsys, recwarn, field):
+        # A full-length sine mixture, which builds without a warning.
+        cfg = write_config(tmp_path, "a.json", {
+            "task": {"name": "sine-mixture", "seed": 3}, field: []})
+        assert run_cli("adapt", "-c", cfg, "-o", tmp_path / "o",
+                       "--cache-dir", tmp_path / "cache") == 2
+        err = self.single_error_line(capsys)
+        assert err["error"] == "ParameterError"
+        assert repr(field) in err["message"]
+        assert [str(w.message) for w in recwarn] == []
+        assert not (tmp_path / "cache").exists()
+
+    def test_gen_params_checked_before_task(self, tmp_path, capsys, recwarn):
+        # A 1200-sample sine mixture warns that it is short once it is built.
+        cfg = write_config(tmp_path, "a.json", {
+            "task": {"name": "sine-mixture", "length": 1200},
+            "gen_params": {"n": "x"}})
+        assert run_cli("adapt", "-c", cfg, "-o", tmp_path / "o") == 2
+        err = self.single_error_line(capsys)
+        assert err["error"] == "ParameterError"
+        assert "'gen_params'" in err["message"] and "'n'" in err["message"]
+        assert [str(w.message) for w in recwarn] == []
+
     @pytest.mark.parametrize("task, key", [
         ({"name": "mackey-glass", "bogus": 1}, "bogus"),
         ({"name": "laser"}, "path"),
@@ -562,7 +586,8 @@ class TestBenchmarkAdaptFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             path = write_config(Path(tmp), "a.json", cfg)
             _assert_clean_exit(*_run_quietly(
-                "adapt", "-c", path, "-o", Path(tmp) / "o"))
+                "adapt", "-c", path, "-o", Path(tmp) / "o",
+                "--cache-dir", Path(tmp) / "cache"))
 
 
 class TestMemoryCommand:
@@ -699,6 +724,21 @@ class TestBenchmarkCommand:
         report = read_json(out / "benchmark.json")
         medians = list(report["per_sweep_median"].values())
         assert 0.0 <= medians[0] <= 1.0
+
+    def test_delay_line_sweep(self, tmp_path):
+        # A delay line has no feedback parameter, so the task's default
+        # feedback is not filled in for it.
+        cfg = write_config(tmp_path, "b.json", {
+            "task": {"name": "synthetic-classification", "n_classes": 3,
+                     "per_class": 10, "length": 40, "seed": 4,
+                     "test_per_class": 4},
+            "reservoir": {"family": "DELAY_LINE", "weight": 0.9},
+            "sweep": {"param": "weight", "values": [0.5, 0.9]}})
+        out = tmp_path / "dl"
+        assert run_cli("benchmark", "-c", cfg, "-o", out, "--workers", 1) == 0
+        rows = list(csv.reader((out / "results.csv").read_text()
+                               .splitlines()[2:]))
+        assert [row[2] for row in rows] == ["0.500000", "0.900000"]
 
 
 def _blas_threads(controls) -> list[int]:

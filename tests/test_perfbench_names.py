@@ -9,17 +9,25 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 from esnkit import cli
+from esnkit.adapt import build_response_table
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_traced_functions_exist(monkeypatch):
+@pytest.fixture
+def tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
+    module = importlib.util.module_from_spec(spec)
     # Dataclasses look their module up in sys.modules.
-    monkeypatch.setitem(sys.modules, spec.name, tracing)
-    spec.loader.exec_module(tracing)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_functions_exist(tracing):
     assert tracing.SPECS
     missing = [f"{short}.{func}" for short, func, *_ in tracing.SPECS
                if not callable(getattr(importlib.import_module(
@@ -32,3 +40,18 @@ def test_cli_names_exist():
     for name in ("build_parser", "task_from_config", "main",
                  "ProcessPoolExecutor"):
         assert callable(getattr(cli, name, None)), name
+
+
+def test_table_cache_layout(tracing, tmp_path):
+    # The tracer counts a build as a cache miss only if it finds new bytes
+    # under a ``response_table_*`` directory of the cache.
+    kwargs = {"cache_dir": tmp_path}
+    before = tracing._table_before((), kwargs)
+    table = build_response_table({"n": 10, "connectivity": 0.3},
+                                 lengths=(1, 2), density_grid=(0.0, 0.5),
+                                 n_instances=1, T=32, cache_dir=tmp_path)
+    sizes = tracing._response_table_dirs(tmp_path)
+    assert len(sizes) == 1 and list(sizes.values())[0] > 0
+    counts = tracing._table_counts((), kwargs, table, before)
+    assert counts == {"table_points": 4, "cache_hits": 0, "cache_misses": 1,
+                      "table_bytes_written": list(sizes.values())[0]}
