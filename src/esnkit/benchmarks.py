@@ -53,19 +53,19 @@ def _trained_pass(reservoir: Reservoir, bundle: TaskBundle,
 
 
 def _multi_step_errors(reservoir: Reservoir, readout, run, start: int,
-                       horizon: int, anchors: int) -> np.ndarray:
+                       horizon: int) -> np.ndarray:
     """Closed-loop errors at the final step of ``horizon``-step rollouts
-    started from evenly spaced anchors of a teacher-forced ``run``, from
+    started from 40 evenly spaced anchors of a teacher-forced ``run``, from
     ``start`` on; a diverged rollout's error is infinite."""
     series = run.inputs
-    starts = np.linspace(start, len(series) - 1 - horizon, anchors).astype(int)
+    starts = np.linspace(start, len(series) - 1 - horizon, 40).astype(int)
     ys = _free_run(reservoir, readout, run.states[starts], series[starts],
-                   horizon, "tanh")
+                   horizon)
     return ys[:, -1] - series[starts + horizon]
 
 
 def forecast_benchmark(bundle: TaskBundle, reservoir: Reservoir, *,
-                       ridge: float = 1e-8, anchors: int = 40) -> float:
+                       ridge: float = 1e-8) -> float:
     """Forecasting error of a reservoir on a bundle, per its protocol.
 
     One-step tasks score the readout's next-step predictions over the test
@@ -87,8 +87,7 @@ def forecast_benchmark(bundle: TaskBundle, reservoir: Reservoir, *,
         rows = slice(start, len(series) - 1)
         pred = run.design_matrix()[rows] @ readout.w_out
         return nrmse(pred, series[start + 1:], series[rows])
-    errors = _multi_step_errors(reservoir, readout, run, start, horizon,
-                                anchors)
+    errors = _multi_step_errors(reservoir, readout, run, start, horizon)
     return float(np.sqrt(np.mean(errors ** 2) / np.var(series[start:])))
 
 
@@ -99,18 +98,18 @@ def classification_benchmark(bundle: TaskBundle, reservoir: Reservoir, *,
                                     washout=bundle.washout, ridge=ridge)
     labels = [label for label in sorted(bundle.test) for _ in bundle.test[label]]
     recordings = [s for label in sorted(bundle.test) for s in bundle.test[label]]
-    blocks = _one_step_blocks(reservoir, recordings, bundle.washout, "tanh")
+    blocks = _one_step_blocks(reservoir, recordings, bundle.washout)
     failures = sum(_best_class(readouts, *block)[0] != label
                    for label, block in zip(labels, blocks))
     return failures / len(labels)
 
 
 def benchmark(bundle: TaskBundle, reservoir: Reservoir, *,
-              ridge: float = 1e-8, anchors: int = 40) -> float:
+              ridge: float = 1e-8) -> float:
     """Dispatch on the bundle kind; lower is always better."""
     if isinstance(bundle.train, dict):
         return classification_benchmark(bundle, reservoir, ridge=ridge)
-    return forecast_benchmark(bundle, reservoir, ridge=ridge, anchors=anchors)
+    return forecast_benchmark(bundle, reservoir, ridge=ridge)
 
 
 def er_reservoir_for(bundle: TaskBundle, seed: SeedLike, *,
@@ -123,20 +122,18 @@ def er_reservoir_for(bundle: TaskBundle, seed: SeedLike, *,
 
 
 def cycle_reservoir_for(bundle: TaskBundle, cycle_density: dict[int, float],
-                        seed: SeedLike, *, mean_modulus: float,
-                        l1_mode: str = "weight_mix") -> Reservoir:
+                        seed: SeedLike, *, mean_modulus: float) -> Reservoir:
     """Cycle-enhanced reservoir for a bundle, normalized by mean eigenvalue
     modulus (the statistic that adding cycles leaves meaningful)."""
     d = bundle.esn_defaults
     connectivity = 2.0 * d.avg_degree / d.n
     return gen_combined(d.n, connectivity, cycle_density, seed,
                         Normalization("avg_modulus", mean_modulus),
-                        l1_mode=l1_mode, feedback=d.feedback)
+                        feedback=d.feedback)
 
 
 def cycle_evaluator(bundle: TaskBundle, *, mean_modulus: float,
-                    ridge: float = 1e-8, anchors: int = 40,
-                    l1_mode: str = "weight_mix"):
+                    ridge: float = 1e-8):
     """Evaluation callable for the adaptation pipeline: maps a cycle-density
     configuration and a seed list to per-seed benchmark scores."""
 
@@ -144,9 +141,8 @@ def cycle_evaluator(bundle: TaskBundle, *, mean_modulus: float,
         scores = []
         for s in seeds:
             res = cycle_reservoir_for(bundle, cycle_density, s,
-                                      mean_modulus=mean_modulus,
-                                      l1_mode=l1_mode)
-            scores.append(benchmark(bundle, res, ridge=ridge, anchors=anchors))
+                                      mean_modulus=mean_modulus)
+            scores.append(benchmark(bundle, res, ridge=ridge))
         return scores
 
     return evaluate

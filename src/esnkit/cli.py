@@ -60,8 +60,6 @@ from .storage import (
 )
 from .tasks import _make_task
 
-CACHE_ENV = "ESNKIT_CACHE_DIR"
-
 
 # ---------------------------------------------------------------------------
 # config plumbing
@@ -174,11 +172,6 @@ def _config_command(body):
         return 0
 
     return command
-
-
-def _cache_dir(args) -> Path | None:
-    raw = getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV)
-    return Path(raw) if raw else None
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +447,7 @@ def cmd_adapt(args, outdir: Path, cfg: dict, *, task: dict,
         gen_params, lengths=lengths, density_grid=density_grid,
         n_instances=n_instances, seed=table_seed, T=response_samples,
         match=(float(np.mean(signal)), float(np.var(signal))),
-        cache_dir=_cache_dir(args))
+        cache_dir=args.cache_dir or None)
     matched = match_signal(table, signal)
 
     evaluate = cycle_evaluator(bundle, mean_modulus=mean_modulus, ridge=ridge)
@@ -560,8 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--signal", help="series file; defaults to the task's "
                                     "training series")
-    p.add_argument("--cache-dir", help=f"response-table cache "
-                                       f"(or ${CACHE_ENV})")
+    p.add_argument("--cache-dir", help="response-table cache directory")
     p.set_defaults(func=cmd_adapt)
 
     p = sub.add_parser("verify", help="re-check a report directory against "

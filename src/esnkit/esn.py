@@ -1,7 +1,8 @@
 """Echo state network dynamics, readout training, and forecasting.
 
 State update: ``x(t) = f(W x(t-1) + w_in u(t) + w_ofb y(t-1))`` with
-``f = tanh`` (an identity option exists for linear-regime checks).
+``f = tanh`` (``run_teacher_forced`` also takes the identity, for
+linear-regime checks).
 Output: ``y(t) = w_out . [x(t); u(t)]``. Only ``w_out`` is ever trained.
 """
 
@@ -44,7 +45,7 @@ _DENSE_CUTOFF = 512
 def _activation(name: str) -> Callable[[np.ndarray], np.ndarray]:
     if name == "tanh":
         return np.tanh
-    if name in ("identity", "linear"):
+    if name == "identity":
         return lambda z: z
     raise ParameterError(f"unknown activation {name!r}")
 
@@ -192,7 +193,7 @@ def train_readout(run: EsnRun, target: np.ndarray,
 
 
 def _free_run(reservoir: Reservoir, readout: TrainedReadout, X0: np.ndarray,
-              u0: np.ndarray, horizon: int, activation: str) -> np.ndarray:
+              u0: np.ndarray, horizon: int) -> np.ndarray:
     """Closed-loop recursion from a ``(B, n)`` stack of start states and
     ``(B,)`` start inputs: each output becomes the next input (and the
     feedback signal). Returns ``(B, horizon)`` outputs. A row that leaves
@@ -200,7 +201,6 @@ def _free_run(reservoir: Reservoir, readout: TrainedReadout, X0: np.ndarray,
     its state is zeroed. ``np.matmul`` calls BLAS once per row, so each row
     rounds exactly like a single rollout's ``W @ x`` and ``w @ x``.
     """
-    f = _activation(activation)
     W = _recurrence_operator(reservoir)
     w_state, w_input = readout.w_out[:-1], readout.w_out[-1]
     X = np.array(X0, dtype=float)
@@ -216,13 +216,12 @@ def _free_run(reservoir: Reservoir, readout: TrainedReadout, X0: np.ndarray,
         u = np.where(alive, y, 0.0)
         X[~alive] = 0.0
         WX = (W @ X.T).T if sp.issparse(W) else np.matmul(W, X[..., None])[..., 0]
-        X = f(WX + u[:, None] * reservoir.w_in + u[:, None] * reservoir.w_ofb)
+        X = np.tanh(WX + u[:, None] * reservoir.w_in + u[:, None] * reservoir.w_ofb)
     return ys
 
 
 def forecast_free_run(reservoir: Reservoir, readout: TrainedReadout,
-                      x_init: np.ndarray, u_init: float, horizon: int,
-                      activation: str = "tanh") -> np.ndarray:
+                      x_init: np.ndarray, u_init: float, horizon: int) -> np.ndarray:
     """Closed-loop forecast from one state: a batch of one ``_free_run``.
 
     Raises ``DivergenceError`` with the offending step index if the output
@@ -233,7 +232,7 @@ def forecast_free_run(reservoir: Reservoir, readout: TrainedReadout,
     x = np.asarray(x_init, dtype=float)
     if x.shape != (reservoir.n,):
         raise DimensionError("x_init has the wrong length")
-    [ys] = _free_run(reservoir, readout, x[None], [u_init], horizon, activation)
+    [ys] = _free_run(reservoir, readout, x[None], [u_init], horizon)
     if np.isinf(ys[-1]):
         step = int(np.argmax(np.isinf(ys))) + 1
         raise DivergenceError(f"forecast diverged at step {step}", step=step)
@@ -241,8 +240,7 @@ def forecast_free_run(reservoir: Reservoir, readout: TrainedReadout,
 
 
 def _one_step_blocks(reservoir: Reservoir, recordings: Sequence[np.ndarray],
-                     washout: int, activation: str
-                     ) -> list[tuple[np.ndarray, np.ndarray]]:
+                     washout: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Design rows and next-step targets for each recording, in order.
 
     The reservoir state is re-zeroed for every recording; recordings of
@@ -253,7 +251,7 @@ def _one_step_blocks(reservoir: Reservoir, recordings: Sequence[np.ndarray],
     for length in {len(s) for s in series}:
         members = [i for i, s in enumerate(series) if len(s) == length]
         u = np.stack([series[i] for i in members], axis=1)
-        batch = _drive(reservoir, u[:, :, None] * reservoir.w_in, activation)
+        batch = _drive(reservoir, u[:, :, None] * reservoir.w_in, "tanh")
         states.update(zip(members, batch.swapaxes(0, 1)))
     return [(np.column_stack([states[i][washout:-1], s[washout:-1]]),
              s[washout + 1:]) for i, s in enumerate(series)]
@@ -261,8 +259,7 @@ def _one_step_blocks(reservoir: Reservoir, recordings: Sequence[np.ndarray],
 
 def train_class_readouts(train_sets: Mapping[int, Sequence[np.ndarray]],
                          reservoir: Reservoir, washout: int = 5,
-                         ridge: float = 1e-8,
-                         activation: str = "tanh") -> dict[int, TrainedReadout]:
+                         ridge: float = 1e-8) -> dict[int, TrainedReadout]:
     """One next-step readout per class, trained on that class's recordings."""
     if len(train_sets) < 2:
         raise ParameterError("need at least two classes")
@@ -272,7 +269,7 @@ def train_class_readouts(train_sets: Mapping[int, Sequence[np.ndarray]],
         recordings = train_sets[label]
         if len(recordings) == 0:
             raise ParameterError(f"class {label!r} has no training recordings")
-        blocks = _one_step_blocks(reservoir, recordings, washout, activation)
+        blocks = _one_step_blocks(reservoir, recordings, washout)
         design = np.vstack([b[0] for b in blocks])
         target = np.concatenate([b[1] for b in blocks])
         if design.shape[0] < n_features + 1:
@@ -295,13 +292,12 @@ def _best_class(readouts: Mapping[int, TrainedReadout], design: np.ndarray,
 
 def score_against_classes(readouts: Mapping[int, TrainedReadout],
                           test: np.ndarray, reservoir: Reservoir,
-                          washout: int = 5,
-                          activation: str = "tanh") -> tuple[int, dict[int, float]]:
+                          washout: int = 5) -> tuple[int, dict[int, float]]:
     """Classify one series with pre-trained per-class readouts.
 
     The winner is the class whose readout forecasts the series with the
     lowest error (normalized by the test series itself); exact ties go to
     the lowest class label.
     """
-    [block] = _one_step_blocks(reservoir, [test], washout, activation)
+    [block] = _one_step_blocks(reservoir, [test], washout)
     return _best_class(readouts, *block)

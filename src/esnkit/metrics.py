@@ -82,15 +82,14 @@ class CorrelationStat:
 
 def memory_capacity_from_states(states: np.ndarray, drive: np.ndarray,
                                 tau_max: int, start: int | None = None,
-                                ridge: float = 1e-8, input_kind: str = "unknown",
-                                stop_threshold: float = 1e-3,
-                                stop_window: int = 5) -> MemoryProfile:
+                                ridge: float = 1e-8,
+                                input_kind: str = "unknown") -> MemoryProfile:
     """Delay-recall capacity computed from an already recorded trajectory.
 
     For each delay, a readout is fit on the first half of the usable window
     and the squared correlation between prediction and delayed drive is
-    evaluated on the held-out second half. Evaluation stops early once
-    ``stop_window`` consecutive delays fall below ``stop_threshold``.
+    evaluated on the held-out second half. Evaluation stops early once 5
+    consecutive delays fall below 1e-3.
     """
     X = np.asarray(states, dtype=float)
     u = np.asarray(drive, dtype=float)
@@ -131,8 +130,8 @@ def memory_capacity_from_states(states: np.ndarray, drive: np.ndarray,
             r = float(np.corrcoef(pred, target_te)[0, 1])
             m_tau = r * r
         coeffs.append(m_tau)
-        below = below + 1 if m_tau < stop_threshold else 0
-        if below >= stop_window:
+        below = below + 1 if m_tau < 1e-3 else 0
+        if below >= 5:
             break
     per_delay = np.asarray(coeffs)
     return MemoryProfile(per_delay=per_delay, total=float(per_delay.sum()),
@@ -141,19 +140,21 @@ def memory_capacity_from_states(states: np.ndarray, drive: np.ndarray,
 
 def memory_capacity(reservoir: Reservoir, T: int = 4000,
                     tau_max: int | None = None, seed: int = 0,
-                    input_kind: str = "uniform", *, washout: int = 100,
-                    ridge: float = 1e-8) -> MemoryProfile:
+                    input_kind: str = "uniform") -> MemoryProfile:
     """Drive the reservoir with i.i.d. noise and measure delay recall.
 
     ``input_kind`` selects the drive distribution: ``"gaussian"`` for
     standard normal or ``"uniform"`` for uniform on [-1, 1] (the default,
     matching the ensemble studies). ``tau_max`` defaults to twice the
-    reservoir size.
+    reservoir size. The first ``max(100, tau_max)`` steps are not scored,
+    and each readout is fitted with ridge 1e-8.
     """
     from .esn import run_teacher_forced  # local import; esn depends on metrics
 
     if input_kind not in ("gaussian", "uniform"):
         raise ParameterError(f"unknown input_kind {input_kind!r}")
+    if T < 1:
+        raise ParameterError(f"T must be >= 1, got {T}")
     if tau_max is None:
         tau_max = 2 * reservoir.n
     rng = make_rng(seed)
@@ -163,8 +164,8 @@ def memory_capacity(reservoir: Reservoir, T: int = 4000,
     if not np.isfinite(run.states).all():
         raise DivergenceError("reservoir states diverged under the noise drive")
     return memory_capacity_from_states(run.states, drive, tau_max,
-                                       start=max(washout, tau_max),
-                                       ridge=ridge, input_kind=input_kind)
+                                       start=max(100, tau_max),
+                                       input_kind=input_kind)
 
 
 def mean_squared_correlation(states: np.ndarray) -> CorrelationStat:

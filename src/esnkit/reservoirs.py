@@ -292,14 +292,13 @@ def _balance_degree_sums(rng: np.random.Generator, out_deg: np.ndarray,
 
 def gen_scale_free(n: int, avg_degree: float, gamma: float, seed: SeedLike,
                    normalization: Normalization | None = RADIUS_ONE, *,
-                   input_gain: float = 1.0, feedback: bool = False,
-                   max_rounds: int = 100) -> Reservoir:
+                   input_gain: float = 1.0, feedback: bool = False) -> Reservoir:
     """Directed scale-free reservoir via a configuration model.
 
     In- and out-degree sequences are drawn from a power law with exponent
     ``gamma`` (applied to both directions), rescaled to ``avg_degree``, and
     wired by random stub pairing. Self-loops and multi-edges are repaired
-    by re-pairing; after ``max_rounds`` unsuccessful rounds a
+    by re-pairing; after 100 unsuccessful rounds a
     ``GenerationError`` is raised.
     """
     if gamma < 2:
@@ -309,7 +308,7 @@ def gen_scale_free(n: int, avg_degree: float, gamma: float, seed: SeedLike,
     rng = make_rng(seed)
 
     out_stubs = in_stubs = None
-    for _ in range(max_rounds):
+    for _ in range(100):
         out_deg = _powerlaw_degree_sequence(rng, n, avg_degree, gamma)
         in_deg = _powerlaw_degree_sequence(rng, n, avg_degree, gamma)
         _balance_degree_sums(rng, out_deg, in_deg, n)
@@ -347,7 +346,7 @@ def gen_scale_free(n: int, avg_degree: float, gamma: float, seed: SeedLike,
             break
     else:
         raise GenerationError(
-            f"no simple wiring found in {max_rounds} resampling rounds")
+            "no simple wiring found in 100 resampling rounds")
 
     vals = rng.standard_normal(len(out_stubs))
     # edge u -> v enters the state update of v: row = target, col = source

@@ -44,17 +44,13 @@ def _as_dense(W) -> np.ndarray:
     return A
 
 
-def eigenvalues(W, tol: float | None = None) -> np.ndarray:
+def eigenvalues(W) -> np.ndarray:
     """Full complex spectrum of a real square matrix, with multiplicity.
 
     Parameters
     ----------
     W : array_like or sparse matrix
         Real square matrix (densified internally).
-    tol : float, optional
-        Relative tolerance used to verify conjugate-pair symmetry of the
-        returned spectrum. Defaults to ``1e-8`` (scaled by the spectral
-        radius).
 
     Returns
     -------
@@ -66,7 +62,8 @@ def eigenvalues(W, tol: float | None = None) -> np.ndarray:
     DimensionError, DomainError
         On non-square or non-finite input.
     ConvergenceError
-        If the QR iteration fails to converge.
+        If the QR iteration fails to converge, or the spectrum is not
+        conjugate-symmetric to within 1e-8 of the spectral radius.
     """
     A = _as_dense(W)
     n = A.shape[0]
@@ -77,16 +74,16 @@ def eigenvalues(W, tol: float | None = None) -> np.ndarray:
             f"eigenvalue iteration did not converge: {exc}",
             iterations=100 * n,
         ) from exc
-    _check_conjugate_pairs(vals, tol)
+    _check_conjugate_pairs(vals)
     return vals
 
 
-def _check_conjugate_pairs(vals: np.ndarray, tol: float | None) -> None:
+def _check_conjugate_pairs(vals: np.ndarray) -> None:
     """Spectra of real matrices must be closed under conjugation."""
     radius = float(np.max(np.abs(vals))) if len(vals) else 0.0
     if radius == 0.0:
         return
-    scale = (1e-8 if tol is None else tol) * radius
+    scale = 1e-8 * radius
     complex_vals = vals[np.abs(vals.imag) > scale]
     if len(complex_vals) == 0:
         return
@@ -187,9 +184,9 @@ class SpectrumReport:
     modulus_histogram: list[tuple[float, float]]
 
 
-def spectrum_report(W, n_bins: int = 40, tol: float | None = None) -> SpectrumReport:
+def spectrum_report(W, n_bins: int = 40) -> SpectrumReport:
     """Compute the spectrum of ``W`` together with its summary statistics."""
-    vals = eigenvalues(W, tol)
+    vals = eigenvalues(W)
     moduli = np.abs(vals)
     return SpectrumReport(
         eigenvalues=vals,

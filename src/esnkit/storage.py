@@ -10,7 +10,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .errors import DataError, IngestionError
+from .errors import DataError, IngestionError, ParameterError
 from .metrics import MemoryProfile
 from .reservoirs import Normalization, Reservoir, ReservoirMeta
 from .signals import PsdProfile
@@ -74,8 +74,10 @@ def _meta_to_dict(meta: ReservoirMeta) -> dict:
                               "value": meta.normalization.value}
     d["target_cycle_density"] = {str(k): v
                                  for k, v in meta.target_cycle_density.items()}
-    if not isinstance(d["seed"], (int, type(None))):
-        d["seed"] = list(d["seed"])
+    if isinstance(meta.seed, (int, np.integer)):
+        d["seed"] = int(meta.seed)
+    elif meta.seed is not None:
+        d["seed"] = [int(s) for s in meta.seed]
     return d
 
 
@@ -110,14 +112,25 @@ def save_reservoir(reservoir: Reservoir, basepath) -> tuple[Path, Path]:
 
 
 def load_reservoir(manifest_path) -> Reservoir:
+    """Read a manifest written by :func:`save_reservoir` and its matrix; a
+    malformed manifest is a ``DataError``."""
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise DataError(f"reservoir manifest not found: {manifest_path}")
-    doc = read_json(manifest_path)
-    W = load_matrix(manifest_path.parent / doc["matrix_file"])
-    return Reservoir(W=W, w_in=np.asarray(doc["w_in"], dtype=float),
-                     w_ofb=np.asarray(doc["w_ofb"], dtype=float),
-                     meta=_meta_from_dict(doc["meta"]))
+    try:
+        doc = read_json(manifest_path)
+        W = load_matrix(manifest_path.parent / doc["matrix_file"])
+        w_in = np.asarray(doc["w_in"], dtype=float)
+        w_ofb = np.asarray(doc["w_ofb"], dtype=float)
+        meta = _meta_from_dict(doc["meta"])
+    except (ValueError, TypeError, KeyError, AttributeError,
+            ParameterError) as exc:
+        raise DataError(f"reservoir manifest {manifest_path}: "
+                        f"{type(exc).__name__}: {exc}") from None
+    if w_in.shape != (W.shape[0],) or w_ofb.shape != (W.shape[0],):
+        raise DataError(f"reservoir manifest {manifest_path}: 'w_in' and "
+                        f"'w_ofb' must each hold {W.shape[0]} weights")
+    return Reservoir(W=W, w_in=w_in, w_ofb=w_ofb, meta=meta)
 
 
 def spectrum_to_dict(report: SpectrumReport) -> dict:

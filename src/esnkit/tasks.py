@@ -254,9 +254,9 @@ def sine_mixture_bundle(seed: SeedLike = 0, length: int = 10093,
 # spoken-digit cepstra (and a synthetic classification stand-in)
 # ---------------------------------------------------------------------------
 
-def _parse_mfcc_blocks(path, n_channels: int = 13) -> list[np.ndarray]:
-    """Recordings are frame-per-line blocks separated by blank lines; only
-    the first cepstral channel is kept."""
+def _parse_mfcc_blocks(path) -> list[np.ndarray]:
+    """Recordings are blocks of frame lines of 13 cepstral channels,
+    separated by blank lines; only the first channel is kept."""
     path = Path(path)
     recordings: list[np.ndarray] = []
     current: list[float] = []
@@ -269,9 +269,9 @@ def _parse_mfcc_blocks(path, n_channels: int = 13) -> list[np.ndarray]:
                     current = []
                 continue
             fields = text.split()
-            if len(fields) != n_channels:
+            if len(fields) != 13:
                 raise IngestionError(
-                    f"{path.name}:{lineno}: expected {n_channels} values, "
+                    f"{path.name}:{lineno}: expected 13 values, "
                     f"got {len(fields)} (recording {len(recordings)}, "
                     f"frame {len(current)})",
                     line=lineno, record=len(recordings))

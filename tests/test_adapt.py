@@ -110,6 +110,20 @@ class TestBuildResponseTable:
 
             self.assert_rebuilt_in_place(tmp_path / str(keep), truncate)
 
+    def test_unsupported_zip_version_is_rebuilt(self, tmp_path):
+        # zipfile raises NotImplementedError for a "version needed to
+        # extract" above its own, the byte 6 past the central directory's
+        # first "PK\x01\x02".
+        def bump_version(cached):
+            npz = cached / "table.npz"
+            data = bytearray(npz.read_bytes())
+            data[data.index(b"PK\x01\x02") + 6] = 0xD2
+            npz.write_bytes(bytes(data))
+            with pytest.raises(NotImplementedError, match="version 21.0"):
+                ResponseTable.load(cached)
+
+        self.assert_rebuilt_in_place(tmp_path, bump_version)
+
     def test_mismatched_power_shape_is_rebuilt(self, tmp_path):
         def drop_a_density(cached):
             with np.load(cached / "table.npz") as data:

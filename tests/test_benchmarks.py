@@ -58,7 +58,7 @@ def _mackey_glass_rollouts(seed, cycle_density, mean_modulus, n=100):
 
 
 def _assert_matches_longhand(res, readout, run, start=700):
-    got = _multi_step_errors(res, readout, run, start, 84, 40)
+    got = _multi_step_errors(res, readout, run, start, 84)
     want = multi_step_errors_longhand(res, readout, run.states, run.inputs,
                                       start, 84, 40)
     assert got.tobytes() == want.tobytes()

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from esnkit import cli
 from esnkit.cli import _openblas_thread_controls, main
-from esnkit.storage import read_json
+from esnkit.reservoirs import gen_er
+from esnkit.storage import read_json, save_reservoir
 
 
 def run_cli(*args):
@@ -131,9 +132,11 @@ class TestErrors:
         ({"family": "ER", "n": 20, "avg_degree": 4,
           "normalization": {"mode": "avg_modulus", "value": True}}, "'value'"),
         ({"family": "ER", "n": 1, "avg_degree": 0.5}, "n must be >= 2"),
+        ({"family": "SF", "n": 20, "avg_degree": 4, "gamma": 3.0,
+          "max_rounds": 100}, "max_rounds"),
     ], ids=["cycle_density_key", "normalization_value", "normalization_string",
             "string_n", "int_family", "string_feedback", "bool_norm_value",
-            "single_node_er"])
+            "single_node_er", "sf_max_rounds"])
     def test_malformed_reservoir_value(self, tmp_path, capsys, reservoir, key):
         cfg = write_config(tmp_path, "g.json", {"reservoir": reservoir})
         assert run_cli("generate", "-c", cfg, "-o", tmp_path / "o") == 2
@@ -315,6 +318,31 @@ class TestErrors:
         assert run_cli("generate", "-c", path, "-o", tmp_path / "o",
                        *args) == 2
         assert self.single_error_line(capsys)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("command", [
+        ["spectrum"], ["psd", "--samples", 64, "--trials", 1, "--reservoir"]],
+        ids=["spectrum", "psd"])
+    @pytest.mark.parametrize("damage", [
+        lambda doc: '{"meta": ',
+        lambda doc: json.dumps([doc]),
+        lambda doc: json.dumps({k: v for k, v in doc.items()
+                                if k != "matrix_file"}),
+        lambda doc: json.dumps(dict(doc, meta={
+            k: v for k, v in doc["meta"].items() if k != "family"})),
+        lambda doc: json.dumps(dict(doc, w_in=["a"] * len(doc["w_in"]))),
+        lambda doc: json.dumps(dict(doc, w_in=doc["w_in"][:-1])),
+        lambda doc: json.dumps(dict(doc, meta=dict(
+            doc["meta"], normalization={"mode": "bogus", "value": 1.0}))),
+    ], ids=["not_json", "json_list", "no_matrix_file", "meta_without_family",
+            "non_numeric_w_in", "short_w_in", "unknown_normalization_mode"])
+    def test_malformed_reservoir_manifest(self, tmp_path, capsys, command,
+                                          damage):
+        # ``damage`` maps a valid manifest to the text written in its place.
+        save_reservoir(gen_er(10, 3, seed=0), tmp_path / "res")
+        manifest = tmp_path / "res.json"
+        manifest.write_text(damage(read_json(manifest)))
+        assert run_cli(*command, manifest, "-o", tmp_path / "o") == 3
+        assert self.single_error_line(capsys)["error"] == "DataError"
 
     def test_config_path_is_a_directory(self, tmp_path, capsys):
         assert run_cli("generate", "-c", tmp_path, "-o", tmp_path / "o") == 2
@@ -613,6 +641,18 @@ class TestMemoryCommand:
         err = json.loads(lines[0])
         assert err["error"] == "ParameterError"
         assert "'ensemble'" in err["message"]
+
+    @pytest.mark.parametrize("T", [-1, -2])
+    def test_negative_length(self, tmp_path, capsys, T):
+        cfg = write_config(tmp_path, "m.json", {
+            "reservoir": {"family": "ER", "n": 10, "avg_degree": 3}})
+        assert run_cli("memory", "-c", cfg, "--set", f"T={T}",
+                       "-o", tmp_path / "mem") == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ParameterError"
+        assert "T must be >= 1" in err["message"]
 
     def test_one_decomposition_per_member(self, tmp_path, eig_calls):
         cfg = write_config(tmp_path, "m.json", {

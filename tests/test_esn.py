@@ -254,14 +254,14 @@ class TestFreeRun:
 
     def test_diverged_row_is_frozen_quietly(self):
         # y = 2u: the row started at 0 stays at 0; the row started at 1
-        # leaves the limit at step 20. Its input and its state (doubled by
-        # W every step) would overflow before step 2000 if not frozen.
+        # leaves the limit at step 20. Its input (doubled every step) would
+        # overflow before step 2000 if not frozen.
         res = tiny_reservoir(2.0 * np.eye(2), w_in=[1.0, 0.5])
         readout = TrainedReadout(np.array([0.0, 0.0, 2.0]), 0.0, 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ys = _free_run(res, readout, np.zeros((2, 2)), np.array([0.0, 1.0]),
-                           2000, "identity")
+                           2000)
         assert_array_equal(ys[0], np.zeros(2000))
         assert_array_equal(ys[1, :19], 2.0 ** np.arange(1, 20))
         assert np.all(np.isinf(ys[1, 19:]))
@@ -271,7 +271,7 @@ class TestFreeRun:
         res = tiny_reservoir(np.zeros((2, 2)))
         readout = TrainedReadout(np.array([0.0, 0.0, 2.0]), 0.0, 0.0)
         ys = _free_run(res, readout, np.zeros((3, 2)), np.array([1.0, -4.0, 8.0]),
-                       50, "tanh")
+                       50)
         assert np.all(np.isinf(ys[:, 19:]))
         assert_array_equal(ys[1, :17], -4.0 * 2.0 ** np.arange(1, 18))
 
@@ -336,7 +336,7 @@ class TestClassification:
                      normalization=Normalization("spectral_radius", 1.1))
         recordings = [rng.standard_normal(length)
                       for length in (40, 25, 40, 33, 25, 40, 60)]
-        blocks = _one_step_blocks(res, recordings, 4, "tanh")
+        blocks = _one_step_blocks(res, recordings, 4)
         assert len(blocks) == len(recordings)
         for series, (design, target) in zip(recordings, blocks):
             run = run_teacher_forced(res, series, washout=4)

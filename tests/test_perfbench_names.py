@@ -55,3 +55,13 @@ def test_table_cache_layout(tracing, tmp_path):
     counts = tracing._table_counts((), kwargs, table, before)
     assert counts == {"table_points": 4, "cache_hits": 0, "cache_misses": 1,
                       "table_bytes_written": list(sizes.values())[0]}
+
+
+def test_table_trials_read_by_tracer(tracing):
+    # The tracer takes a response's trial count from its ``n_trials``
+    # keyword and assumes the default, 10, without it: a table build must
+    # pass its one trial per instance by keyword.
+    with tracing.Tracer() as tracer:
+        build_response_table({"n": 10, "connectivity": 0.3}, lengths=(1, 2),
+                             density_grid=(0.0, 0.5), n_instances=2, T=32)
+    assert tracing.layer_stats(tracer.spans)["signals.response_trials"] == 8

@@ -54,6 +54,17 @@ class TestReservoirRoundTrip:
         assert loaded.meta.target_cycle_density == {2: -0.4}
         assert loaded.meta.normalization == res.meta.normalization
 
+    @pytest.mark.parametrize("seed, stored", [
+        (np.int64(3), 3), ([np.int64(4), 2], [4, 2]), ((5, 6), [5, 6])])
+    def test_numpy_integer_seeds(self, tmp_path, seed, stored):
+        res = gen_er(10, 3, seed=seed)
+        save_reservoir(res, tmp_path / "res")
+        doc = json.loads((tmp_path / "res.json").read_text())
+        assert doc["meta"]["seed"] == stored
+        loaded = load_reservoir(tmp_path / "res.json")
+        assert loaded.meta.seed == stored
+        assert_array_equal(loaded.W.toarray(), res.W.toarray())
+
 
 class TestReports:
     def test_spectrum_round_trip(self, rng):
