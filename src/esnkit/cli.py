@@ -124,8 +124,8 @@ def _read_series(path) -> np.ndarray:
         series = np.loadtxt(path)
     except ValueError as exc:
         raise IngestionError(f"{path}: {exc}") from exc
-    if series.ndim != 1:
-        raise DataError(f"{path}: series must be one value per line")
+    if series.ndim != 1 or not np.isfinite(series).all():
+        raise DataError(f"{path}: series must be one finite value per line")
     return series
 
 

@@ -74,10 +74,6 @@ class Normalization:
         if not self.value > 0:
             raise ParameterError("normalization value must be positive")
 
-    def apply(self, W):
-        """The rescaled matrix and its spectrum (see ``Reservoir.eigenvalues``)."""
-        return _rescale(W, self.mode, self.value)
-
 
 def _normalization_from_config(norm):
     """A ``Normalization`` from a config's ``{"mode", "value"}`` mapping;
@@ -108,23 +104,18 @@ class ReservoirMeta:
 class Reservoir:
     """A fixed recurrent network plus its input and feedback weights.
 
-    The spectrum of ``W`` is kept once known: generators store the one their
-    normalization computed, and ``eigenvalues()`` computes it otherwise.
-    Assigning a new ``W`` drops it; editing ``W`` in place (``W.data``) is
-    unsupported, because the stored spectrum would go stale.
+    The spectrum of ``W`` is kept once known, paired with the ``W`` object it
+    belongs to: generators store the one their normalization computed, and
+    ``eigenvalues()`` computes it for any other ``W``. Editing ``W`` in place
+    (``W.data``) is unsupported, because the pair would go stale unnoticed.
     """
 
     W: sp.csr_array
     w_in: np.ndarray
     w_ofb: np.ndarray
     meta: ReservoirMeta
-    _spectrum: np.ndarray | None = field(default=None, init=False, repr=False,
-                                         compare=False)
-
-    def __setattr__(self, name, value):
-        if name == "W":
-            object.__setattr__(self, "_spectrum", None)
-        object.__setattr__(self, name, value)
+    _spectrum: tuple = field(default=(None, None), init=False, repr=False,
+                             compare=False)
 
     @property
     def n(self) -> int:
@@ -132,9 +123,9 @@ class Reservoir:
 
     def eigenvalues(self) -> np.ndarray:
         """Complex spectrum of ``W``, computed at most once per ``W``."""
-        if self._spectrum is None:
-            self._spectrum = spectral.eigenvalues(self.W)
-        return self._spectrum
+        if self._spectrum[0] is not self.W:
+            self._spectrum = (self.W, spectral.eigenvalues(self.W))
+        return self._spectrum[1]
 
     def dense(self) -> np.ndarray:
         return self.W.toarray()
@@ -165,11 +156,11 @@ def _finalize(W, *, family: str, avg_degree: float, seed: SeedLike | None,
     W.eliminate_zeros()
     n = W.shape[0]
     warnings_ = list(warnings_ or [])
-    spectrum = None
+    spectrum = (None, None)
     if normalization is not None:
         try:
-            W, spectrum = normalization.apply(W)
-            W = sp.csr_array(W)
+            W, vals = _rescale(W, normalization.mode, normalization.value)
+            spectrum = (W, vals)
         except DegenerateSpectrumError:
             # Tiny/empty graphs can be nilpotent; keep them unscaled.
             warnings_.append("degenerate spectrum; normalization skipped")
@@ -208,30 +199,29 @@ def _offdiag_positions(rng: np.random.Generator, n: int, count: int):
     return rows, cols
 
 
-def _random_sparse(rng: np.random.Generator, n: int, n_edges: int) -> sp.coo_array:
-    rows, cols = _offdiag_positions(rng, n, n_edges)
-    vals = rng.standard_normal(n_edges)
-    return sp.coo_array((vals, (rows, cols)), shape=(n, n))
-
-
 # ---------------------------------------------------------------------------
 # classical random ensembles
 # ---------------------------------------------------------------------------
 
-def gen_er(n: int, avg_degree: float, seed: SeedLike,
-           normalization: Normalization | None = RADIUS_ONE, *,
-           input_gain: float = 1.0, feedback: bool = False) -> Reservoir:
-    """Directed Erdos-Renyi reservoir with i.i.d. Gaussian weights.
-
-    Each of the ``n*(n-1)`` ordered off-diagonal pairs carries an edge
-    independently with probability ``avg_degree / (n - 1)``.
-    """
+def _er_topology(n: int, avg_degree: float, seed: SeedLike):
+    """The generator of ``seed`` and an Erdos-Renyi edge mask: each of the
+    ``n*(n-1)`` ordered off-diagonal pairs carries an edge independently
+    with probability ``avg_degree / (n - 1)``."""
     if n < 2 or not 0 < avg_degree < n:
         raise ParameterError("n must be >= 2 and avg_degree lie in (0, n)")
     rng = make_rng(seed)
     p = avg_degree / (n - 1)
     mask = rng.random((n, n)) < p
     np.fill_diagonal(mask, False)
+    return rng, mask
+
+
+def gen_er(n: int, avg_degree: float, seed: SeedLike,
+           normalization: Normalization | None = RADIUS_ONE, *,
+           input_gain: float = 1.0, feedback: bool = False) -> Reservoir:
+    """Directed Erdos-Renyi reservoir (see ``_er_topology``) with i.i.d.
+    Gaussian weights."""
+    rng, mask = _er_topology(n, avg_degree, seed)
     weights = rng.standard_normal((n, n))
     W = sp.coo_array(np.where(mask, weights, 0.0))
     return _finalize(W, family="ER", avg_degree=avg_degree, seed=seed,
@@ -250,12 +240,7 @@ def gen_plw(n: int, avg_degree: float, beta: float, seed: SeedLike,
     """
     if beta <= 2:
         raise ParameterError("beta must exceed 2 for a finite-mean weight law")
-    if n < 2 or not 0 < avg_degree < n:
-        raise ParameterError("n must be >= 2 and avg_degree lie in (0, n)")
-    rng = make_rng(seed)
-    p = avg_degree / (n - 1)
-    mask = rng.random((n, n)) < p
-    np.fill_diagonal(mask, False)
+    rng, mask = _er_topology(n, avg_degree, seed)
     magnitudes = (1.0 - rng.random((n, n))) ** (-1.0 / (beta - 1.0))
     signs = rng.integers(0, 2, size=(n, n)) * 2 - 1
     W = sp.coo_array(np.where(mask, magnitudes * signs, 0.0))
@@ -393,7 +378,7 @@ def gen_delay_line(n: int, weight: float, input_node: int = 0, *,
     cols = np.arange(n)
     W = sp.coo_array((np.full(n, float(weight)), (rows, cols)), shape=(n, n))
     res = _finalize(W, family="DELAY_LINE", avg_degree=1.0, seed=None,
-                    normalization=None, rng=None, input_gain=1.0,
+                    normalization=None, rng=None, input_gain=input_gain,
                     feedback=False, params={"weight": weight,
                                             "input_node": input_node})
     res.w_in = np.zeros(n)
@@ -467,7 +452,7 @@ def gen_combined(n: int, connectivity: float,
     for length, r in cycle_density.items():
         if length < 1:
             raise ParameterError("cycle lengths must be >= 1")
-        if abs(r) > 1:
+        if not abs(r) <= 1:
             raise ParameterError("cycle densities must lie in [-1, 1]")
     if sum(abs(r) for r in cycle_density.values()) > 1 + 1e-9:
         raise ParameterError("cycle densities must satisfy sum(|rho|) <= 1")
@@ -505,31 +490,22 @@ def gen_combined(n: int, connectivity: float,
         structured_edges += count * length if length >= 2 else count
 
     n_random = budget - structured_edges
-    random_part = None
     if n_random > 0:
-        random_part = _random_sparse(rng, n, n_random)
+        rows, cols = _offdiag_positions(rng, n, n_random)
+        random_part = sp.coo_array((rng.standard_normal(n_random), (rows, cols)),
+                                   shape=(n, n))
         try:
             random_part = sp.coo_array(normalize_spectral_radius(random_part, 1.0))
         except DegenerateSpectrumError:
             warnings_.append("random part has degenerate spectrum; left unscaled")
+        parts.append((random_part.row, random_part.col, random_part.data))
 
-    rows = [p[0] for p in parts]
-    cols = [p[1] for p in parts]
-    vals = [p[2] for p in parts]
-    if random_part is not None:
-        rows.append(random_part.row)
-        cols.append(random_part.col)
-        vals.append(random_part.data)
-    if not rows:
-        W = sp.coo_array((n, n))
-    else:
-        W = sp.coo_array((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n, n))
+    rows, cols, vals = ([np.concatenate(p) for p in zip(*parts)] if parts
+                        else ([], [], []))
+    W = sp.coo_array((vals, (rows, cols)), shape=(n, n))
 
     mix = cycle_density.get(1, 0.0) if l1_mode == "weight_mix" else 0.0
     if mix != 0.0:
-        sign = 1.0 if mix > 0 else -1.0
         base = sp.csr_array(W)
         base.sum_duplicates()
         if base.nnz > 0:
@@ -537,10 +513,8 @@ def gen_combined(n: int, connectivity: float,
                 base = sp.csr_array(normalize_spectral_radius(base, 1.0))
             except DegenerateSpectrumError:
                 warnings_.append("sparse part has degenerate spectrum; left unscaled")
-            ident = sp.csr_array(sp.eye(n, format="csr"))
-            W = (1.0 - abs(mix)) * base + sign * abs(mix) * ident
-        else:
-            W = sign * abs(mix) * sp.csr_array(sp.eye(n, format="csr"))
+        ident = sp.csr_array(sp.eye(n, format="csr"))
+        W = (1.0 - abs(mix)) * base + mix * ident
 
     return _finalize(W, family="CYCLE", avg_degree=connectivity * n / 2,
                      seed=seed, normalization=normalization, rng=rng,
@@ -581,8 +555,9 @@ _CONFIG_TYPES = {"int": (int, np.integer),
 
 def _fits(kind: str, value) -> bool:
     """Whether a config value fits its parameter's annotation ``kind`` (a
-    string: postponed evaluation). Annotations other than unions, ``SeedLike``,
-    ``Sequence[...]`` and the keys of ``_CONFIG_TYPES`` pass anything."""
+    string: postponed evaluation); a float must be finite. Annotations other
+    than unions, ``SeedLike``, ``Sequence[...]`` and the keys of
+    ``_CONFIG_TYPES`` pass anything."""
     if kind == "SeedLike":
         kind = "int | Sequence[int]"
     if " | " in kind:
@@ -592,7 +567,8 @@ def _fits(kind: str, value) -> bool:
                 and all(_fits(kind[len("Sequence["):-1], v) for v in value))
     return kind not in _CONFIG_TYPES or (
         isinstance(value, _CONFIG_TYPES[kind])
-        and (kind == "bool" or not isinstance(value, bool)))
+        and (kind == "bool" or not isinstance(value, bool))
+        and (not isinstance(value, float) or np.isfinite(value)))
 
 
 def _family_key(family) -> str:

@@ -107,14 +107,6 @@ def avg_modulus(W) -> float:
     return float(np.mean(np.abs(eigenvalues(W))))
 
 
-def _scaled(W, factor: float):
-    """Scale a matrix preserving its sparse/dense storage."""
-    if sp.issparse(W):
-        out = (W * factor).tocsr()
-        return out
-    return np.asarray(W, dtype=float) * factor
-
-
 #: The statistic of the eigenvalue moduli that each normalization mode sets.
 _STATISTICS = {"spectral_radius": np.max, "avg_modulus": np.mean}
 
@@ -122,9 +114,9 @@ _STATISTICS = {"spectral_radius": np.max, "avg_modulus": np.mean}
 def _rescale(W, mode: str, target: float):
     """Rescale ``W`` so the ``mode`` statistic of its spectrum equals ``target``.
 
-    Returns the rescaled matrix and its spectrum. Eigenvalues scale linearly
-    with the matrix, so that spectrum is the input's times the same factor
-    and needs no second decomposition.
+    Returns the rescaled matrix (CSR if sparse) and its spectrum. Eigenvalues
+    scale linearly with the matrix, so that spectrum is the input's times the
+    same factor and needs no second decomposition.
     """
     A = _as_dense(W)
     vals = eigenvalues(A)
@@ -132,7 +124,8 @@ def _rescale(W, mode: str, target: float):
     if stat <= 1e-12 * max(np.linalg.norm(A), 1.0):
         raise DegenerateSpectrumError(f"{mode} is zero; cannot rescale")
     factor = target / stat
-    return _scaled(W, factor), vals * factor
+    scaled = (W * factor).tocsr() if sp.issparse(W) else A * factor
+    return scaled, vals * factor
 
 
 def normalize_spectral_radius(W, alpha: float):

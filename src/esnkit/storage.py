@@ -59,12 +59,16 @@ def load_matrix(path) -> sp.csr_array:
         raise DataError(f"matrix file not found: {path}")
     try:
         if path.suffix == ".mtx":
-            return sp.csr_array(sp.coo_array(scipy.io.mmread(str(path))))
-        if path.suffix == ".csv":
-            return sp.csr_array(np.atleast_2d(np.loadtxt(path, delimiter=",")))
+            W = sp.csr_array(sp.coo_array(scipy.io.mmread(str(path))))
+        elif path.suffix == ".csv":
+            W = sp.csr_array(np.atleast_2d(np.loadtxt(path, delimiter=",")))
+        else:
+            raise DataError(f"unsupported matrix format {path.suffix!r}")
     except ValueError as exc:
         raise IngestionError(f"{path.name}: {exc}") from exc
-    raise DataError(f"unsupported matrix format {path.suffix!r}")
+    if not np.isfinite(W.data).all():
+        raise DataError(f"{path.name}: matrix holds non-finite weights")
+    return W
 
 
 def _meta_to_dict(meta: ReservoirMeta) -> dict:
@@ -127,9 +131,10 @@ def load_reservoir(manifest_path) -> Reservoir:
             ParameterError) as exc:
         raise DataError(f"reservoir manifest {manifest_path}: "
                         f"{type(exc).__name__}: {exc}") from None
-    if w_in.shape != (W.shape[0],) or w_ofb.shape != (W.shape[0],):
+    if (w_in.shape != (W.shape[0],) or w_ofb.shape != (W.shape[0],)
+            or not np.isfinite([w_in, w_ofb]).all()):
         raise DataError(f"reservoir manifest {manifest_path}: 'w_in' and "
-                        f"'w_ofb' must each hold {W.shape[0]} weights")
+                        f"'w_ofb' must each hold {W.shape[0]} finite weights")
     return Reservoir(W=W, w_in=w_in, w_ofb=w_ofb, meta=meta)
 
 

@@ -218,6 +218,9 @@ def load_laser(path) -> TaskBundle:
                 raise IngestionError(
                     f"{path.name}:{lineno}: cannot parse {text!r}",
                     line=lineno) from None
+            if not np.isfinite(values[-1]):
+                raise IngestionError(f"{path.name}:{lineno}: non-finite "
+                                     f"sample {text!r}", line=lineno)
     if not values:
         raise IngestionError(f"{path.name}: file contains no samples")
     return _laser_bundle_from_series(np.asarray(values), "laser",

@@ -8,13 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esnkit import cli
 from esnkit.cli import _openblas_thread_controls, main
 from esnkit.reservoirs import gen_er
-from esnkit.storage import read_json, save_reservoir
+from esnkit.storage import read_json, save_matrix, save_reservoir
 
 
 def run_cli(*args):
@@ -344,6 +346,108 @@ class TestErrors:
         assert run_cli(*command, manifest, "-o", tmp_path / "o") == 3
         assert self.single_error_line(capsys)["error"] == "DataError"
 
+    @pytest.mark.parametrize("gain", [5.0, -1.0])
+    def test_delay_line_input_gain(self, tmp_path, capsys, gain):
+        cfg = write_config(tmp_path, "g.json", {"reservoir": {
+            "family": "DELAY_LINE", "n": 10, "weight": 0.9,
+            "input_gain": gain}})
+        assert run_cli("generate", "-c", cfg, "-o", tmp_path / "o") == 2
+        err = self.single_error_line(capsys)
+        assert err["error"] == "ParameterError"
+        assert "input_gain" in err["message"]
+
+    # ``json`` reads and writes NaN and Infinity.
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("generate", {"reservoir": {"family": "DELAY_LINE", "n": 10,
+                                    "weight": float("nan")}}, "'weight'"),
+        ("generate", {"reservoir": {"family": "SF", "n": 20, "avg_degree": 4,
+                                    "gamma": float("inf")}}, "'gamma'"),
+        ("generate", {"reservoir": {"family": "SF", "n": 20, "avg_degree": 4,
+                                    "gamma": float("nan")}}, "'gamma'"),
+        ("generate", {"reservoir": {"family": "CYCLE", "n": 20,
+                                    "connectivity": 0.2,
+                                    "cycle_density": {"2": float("nan")}}},
+         "cycle densities"),
+        ("benchmark", {"task": {"name": "sine-mixture", "seed": 1,
+                                "length": 1200},
+                       "reservoir": {"family": "ER", "n": 20},
+                       "ridge": float("nan")}, "'ridge'"),
+    ], ids=["delay_line_nan_weight", "sf_inf_gamma", "sf_nan_gamma",
+            "cycle_nan_density", "benchmark_nan_ridge"])
+    def test_non_finite_config_number(self, tmp_path, capsys, recwarn,
+                                      command, cfg, key):
+        path = write_config(tmp_path, "c.json", cfg)
+        assert run_cli(command, "-c", path, "-o", tmp_path / "o",
+                       *(["--workers", 1] if command == "benchmark" else [])) == 2
+        err = self.single_error_line(capsys)
+        assert err["error"] == "ParameterError"
+        assert key in err["message"]
+        assert [str(w.message) for w in recwarn] == []
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("suffix", [".mtx", ".csv"])
+    def test_non_finite_matrix_file(self, tmp_path, capsys, suffix):
+        W = np.eye(3)
+        W[1, 2] = np.nan
+        save_matrix(W, tmp_path / f"w{suffix}")
+        assert run_cli("spectrum", tmp_path / f"w{suffix}",
+                       "-o", tmp_path / "o") == 3
+        err = self.single_error_line(capsys)
+        assert err["error"] == "DataError"
+        assert "non-finite" in err["message"]
+
+    @pytest.mark.parametrize("command", [
+        ["spectrum"], ["psd", "--samples", 64, "--trials", 1, "--reservoir"]],
+        ids=["spectrum", "psd"])
+    @pytest.mark.parametrize("part", ["W", "w_in", "w_ofb"])
+    def test_non_finite_reservoir_weights(self, tmp_path, capsys, command,
+                                          part):
+        res = gen_er(10, 3, seed=0, feedback=True)
+        if part == "W":
+            res.W.data[0] = np.nan
+        else:
+            getattr(res, part)[4] = np.inf
+        save_reservoir(res, tmp_path / "res")
+        assert run_cli(*command, tmp_path / "res.json",
+                       "-o", tmp_path / "o") == 3
+        err = self.single_error_line(capsys)
+        assert err["error"] == "DataError"
+        assert "finite" in err["message"]
+
+    def test_non_finite_psd_input(self, tmp_path, capsys):
+        path = tmp_path / "series.txt"
+        path.write_text("0.1\n0.2\nnan\n0.4\n")
+        assert run_cli("psd", "--input", path, "-o", tmp_path / "o") == 3
+        err = self.single_error_line(capsys)
+        assert err["error"] == "DataError"
+        assert "finite" in err["message"]
+
+    def test_non_finite_adapt_signal(self, tmp_path, capsys):
+        path = tmp_path / "signal.txt"
+        path.write_text("0.1\n0.2\nnan\n0.4\n")
+        cfg = write_config(tmp_path, "a.json", {
+            "task": {"name": "sine-mixture", "seed": 3}, "lengths": [1],
+            "density_grid": [0.0], "n_instances": 1, "n_seeds": 1})
+        assert run_cli("adapt", "-c", cfg, "--signal", path, "-o",
+                       tmp_path / "o", "--cache-dir", tmp_path / "cache") == 3
+        err = self.single_error_line(capsys)
+        assert err["error"] == "DataError"
+        assert "finite" in err["message"]
+        # The series is read before any table work.
+        assert not (tmp_path / "cache").exists()
+
+    def test_non_finite_laser_sample(self, tmp_path, capsys):
+        path = tmp_path / "laser.txt"
+        path.write_text("1\n2\ninf\n4\n")
+        cfg = write_config(tmp_path, "b.json", {
+            "task": {"name": "laser", "path": str(path)},
+            "reservoir": {"family": "ER", "n": 20}})
+        assert run_cli("benchmark", "-c", cfg, "-o", tmp_path / "o",
+                       "--workers", 1) == 3
+        err = self.single_error_line(capsys)
+        assert err["error"] == "IngestionError"
+        assert "laser.txt:3" in err["message"]
+
     def test_config_path_is_a_directory(self, tmp_path, capsys):
         assert run_cli("generate", "-c", tmp_path, "-o", tmp_path / "o") == 2
         assert self.single_error_line(capsys)["error"] == "ConfigError"
@@ -421,6 +525,40 @@ _FUZZED_RESERVOIR = st.fixed_dictionaries({
 })
 
 
+#: Each family's own fields around a small valid config of that family:
+#: each field is valid half the time, and otherwise drawn from ``_NUMBERS``
+#: (NaN and inf among them); ``cycle_density`` also draws string keys that
+#: are not lengths, and ``l1_mode`` short strings.
+_FAMILY_FIELDS = {
+    "DELAY_LINE": {"n": st.integers(4, 12), "weight": st.floats(0.1, 1.5),
+                   "input_node": st.integers(0, 3),
+                   "input_gain": st.floats(0.01, 1.0)},
+    "SF": {"n": st.integers(8, 12), "avg_degree": st.floats(1.0, 3.0),
+           "gamma": st.floats(2.0, 4.0)},
+    "PLW": {"n": st.integers(2, 12), "avg_degree": st.floats(0.5, 1.5),
+            "beta": st.floats(2.1, 4.0)},
+    "RR": {"n": st.integers(4, 12), "degree": st.integers(1, 3)},
+    "CYCLE": {"n": st.integers(4, 12), "connectivity": st.floats(0.1, 0.5),
+              "cycle_density": st.dictionaries(
+                  st.sampled_from(["1", "2", "3"]), st.floats(-0.3, 0.3),
+                  max_size=2),
+              "l1_mode": st.sampled_from(["weight_mix", "edge_count"])},
+}
+_FAMILY_JUNK = {
+    "cycle_density": _NUMBERS
+    | st.dictionaries(st.sampled_from(["1", "2", "3"]), _NUMBERS,
+                      min_size=1, max_size=2)
+    | st.dictionaries(st.sampled_from(["0", "-1", "a", "1.5", ""]),
+                      st.floats(-0.3, 0.3), min_size=1, max_size=1),
+    "l1_mode": _NUMBERS | st.text(max_size=3),
+}
+_FUZZED_FAMILY = st.sampled_from(sorted(_FAMILY_FIELDS)).flatmap(
+    lambda family: st.fixed_dictionaries({
+        key: _valid_or(valid, _FAMILY_JUNK.get(key, _NUMBERS))
+        for key, valid in _FAMILY_FIELDS[family].items()}).map(
+        lambda fields: dict(fields, family=family)))
+
+
 class TestGenerateFuzz:
     @settings(max_examples=100, derandomize=True, database=None,
               deadline=None)
@@ -432,6 +570,22 @@ class TestGenerateFuzz:
                                {"reservoir": dict(reservoir, seed=0)})
             _assert_clean_exit(*_run_quietly(
                 "generate", "-c", cfg, "-o", Path(tmp) / "o"))
+
+    @settings(max_examples=300, derandomize=True, database=None,
+              deadline=None)
+    @given(_FUZZED_FAMILY)
+    def test_family_fields(self, reservoir):
+        # A reservoir that is written holds only finite weights.
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(Path(tmp), "g.json", {"reservoir": reservoir})
+            code, stderr = _run_quietly("generate", "-c", cfg,
+                                        "-o", Path(tmp) / "o")
+            _assert_clean_exit(code, stderr)
+            if code == 0:
+                doc = read_json(Path(tmp) / "o" / "reservoir.json")
+                W = scipy.io.mmread(Path(tmp) / "o" / "reservoir.mtx")
+                assert np.isfinite(sp.coo_array(W).data).all()
+                assert np.isfinite(doc["w_in"] + doc["w_ofb"]).all()
 
 
 #: A tiny forecasting task, so that a fuzzed config that does run is quick.

@@ -191,6 +191,13 @@ class TestDelayLine:
         assert_array_equal(gen_delay_line(6, 0.7).W.toarray(),
                            gen_delay_line(6, 0.7).W.toarray())
 
+    @pytest.mark.parametrize("gain", [5.0, -1.0, 0.0])
+    def test_input_gain_range(self, gain):
+        res = gen_delay_line(10, 0.9, input_node=3, input_gain=0.5)
+        assert_array_equal(res.w_in, np.eye(10)[3] * 0.5)
+        with pytest.raises(ParameterError, match="input_gain"):
+            gen_delay_line(10, 0.9, input_node=3, input_gain=gain)
+
 
 class TestCycleEnhanced:
     def test_zero_density_is_plain_random(self):

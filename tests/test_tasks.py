@@ -140,6 +140,14 @@ class TestLaser:
             load_laser(path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity"])
+    def test_non_finite_sample_line_number(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"1\n2\n\n{text}\n4\n")
+        with pytest.raises(IngestionError, match="non-finite") as err:
+            load_laser(path)
+        assert err.value.line == 4
+
     def test_sine_mixture_bundle_matches_laser_protocol(self):
         bundle = sine_mixture_bundle(seed=0)
         assert bundle.continuous
