@@ -26,7 +26,7 @@ import numpy as np
 from .errors import EsnKitError, GenerationError, ParameterError
 from .reservoirs import (_check_config, _normalization_from_config,
                          gen_cycle_enhanced)
-from .signals import periodogram, reservoir_response
+from .signals import _MIN_SAMPLES, periodogram, reservoir_response
 
 __all__ = [
     "ResponseTable",
@@ -141,6 +141,9 @@ def build_response_table(gen_params: Mapping, lengths: Sequence[int] = (1, 2, 3)
     """
     if n_instances < 1:
         raise ParameterError("n_instances must be >= 1")
+    if T < _MIN_SAMPLES:
+        raise ParameterError(f"response length T must be >= {_MIN_SAMPLES}, "
+                             f"got {T}")
     grid = tuple(float(r) for r in density_grid)
     lengths = tuple(int(length) for length in lengths)
     if not lengths or not grid:

@@ -91,14 +91,17 @@ def _drive(reservoir: Reservoir, feed: np.ndarray,
     runs on the same reservoir; the states come back in the same shape.
     A single run keeps a 1-D state, so ``x @ W.T`` stays a matrix-vector
     product, bitwise equal to ``W @ x``; a ``(1, n)`` batch would go
-    through a matrix-matrix product, which rounds differently.
+    through a matrix-matrix product, which rounds differently. A sparse
+    ``W`` multiplies from the left, ``(W @ x.T).T``: the same bits as
+    ``x @ W.T``, as a CSR rather than a slower CSC product.
     """
     f = _activation(activation)
-    Wt = _recurrence_operator(reservoir).T
+    W = _recurrence_operator(reservoir)
+    sparse, Wt = sp.issparse(W), W.T
     states = np.empty_like(feed)
     x = np.zeros(feed.shape[1:])
     for t in range(len(feed)):
-        x = f(x @ Wt + feed[t])
+        x = f(((W @ x.T).T if sparse else x @ Wt) + feed[t])
         states[t] = x
     return states
 

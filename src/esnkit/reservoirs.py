@@ -284,7 +284,8 @@ def gen_scale_free(n: int, avg_degree: float, gamma: float, seed: SeedLike,
     ``gamma`` (applied to both directions), rescaled to ``avg_degree``, and
     wired by random stub pairing. Self-loops and multi-edges are repaired
     by re-pairing; after 100 unsuccessful rounds a
-    ``GenerationError`` is raised.
+    ``GenerationError`` is raised, or a ``ParameterError`` if no round drew
+    an edge (``avg_degree`` too small for ``n``).
     """
     if gamma < 2:
         raise ParameterError("gamma must be >= 2")
@@ -293,6 +294,7 @@ def gen_scale_free(n: int, avg_degree: float, gamma: float, seed: SeedLike,
     rng = make_rng(seed)
 
     out_stubs = in_stubs = None
+    drew_edges = False
     for _ in range(100):
         out_deg = _powerlaw_degree_sequence(rng, n, avg_degree, gamma)
         in_deg = _powerlaw_degree_sequence(rng, n, avg_degree, gamma)
@@ -302,6 +304,7 @@ def gen_scale_free(n: int, avg_degree: float, gamma: float, seed: SeedLike,
         n_edges = len(sources)
         if n_edges == 0:
             continue
+        drew_edges = True
         # local repair: swap conflicting target stubs until the graph is
         # simple; a stagnating pairing means the sequence is
         # (near-)infeasible, so the whole sequence is resampled
@@ -330,6 +333,10 @@ def gen_scale_free(n: int, avg_degree: float, gamma: float, seed: SeedLike,
         if out_stubs is not None:
             break
     else:
+        if not drew_edges:
+            raise ParameterError(
+                f"avg_degree {avg_degree} is too small for n={n}: every "
+                f"degree drawn in 100 rounds rounded to 0")
         raise GenerationError(
             "no simple wiring found in 100 resampling rounds")
 

@@ -31,6 +31,10 @@ __all__ = [
 ]
 
 
+#: The shortest series a periodogram or a reservoir response is taken of.
+_MIN_SAMPLES = 8
+
+
 @dataclass
 class PsdProfile:
     """One-sided averaged power spectral density on a 0..0.5 grid."""
@@ -67,8 +71,9 @@ def periodogram(x) -> PsdProfile:
     series = np.asarray(x, dtype=float)
     if series.ndim != 1:
         raise DimensionError("expected a one-dimensional series")
-    if len(series) < 8:
-        raise ParameterError("series too short for a periodogram (need >= 8)")
+    if len(series) < _MIN_SAMPLES:
+        raise ParameterError(f"series too short for a periodogram "
+                             f"(need >= {_MIN_SAMPLES})")
     if not np.isfinite(series).all():
         raise DomainError("series contains non-finite values")
     T = len(series)
@@ -88,9 +93,9 @@ def reservoir_response(reservoir: Reservoir, n_trials: int = 10,
     neuron over ``n_trials`` independent drives. Output feedback is not
     engaged (there is no readout).
     """
-    if n_trials < 1 or T < 1:
-        raise ParameterError(f"n_trials and T must be >= 1, got {n_trials} "
-                             f"and {T}")
+    if n_trials < 1 or T < _MIN_SAMPLES:
+        raise ParameterError(f"n_trials must be >= 1 and T >= {_MIN_SAMPLES}, "
+                             f"got {n_trials} and {T}")
     mean, variance = match
     if variance <= 0:
         raise ParameterError("matched variance must be positive")

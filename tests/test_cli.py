@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import multiprocessing
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -14,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esnkit import cli
-from esnkit.cli import _openblas_thread_controls, main
+from esnkit.cli import _openblas_thread_controls, _single_blas_thread, main
+from esnkit.metrics import MemoryProfile
 from esnkit.reservoirs import gen_er
-from esnkit.storage import read_json, save_matrix, save_reservoir
+from esnkit.storage import (read_json, save_matrix, save_reservoir,
+                            write_json)
 
 
 def run_cli(*args):
@@ -136,9 +139,11 @@ class TestErrors:
         ({"family": "ER", "n": 1, "avg_degree": 0.5}, "n must be >= 2"),
         ({"family": "SF", "n": 20, "avg_degree": 4, "gamma": 3.0,
           "max_rounds": 100}, "max_rounds"),
+        ({"family": "SF", "n": 9, "avg_degree": 0.05, "gamma": 3.0},
+         "avg_degree"),
     ], ids=["cycle_density_key", "normalization_value", "normalization_string",
             "string_n", "int_family", "string_feedback", "bool_norm_value",
-            "single_node_er", "sf_max_rounds"])
+            "single_node_er", "sf_max_rounds", "sf_degrees_round_to_zero"])
     def test_malformed_reservoir_value(self, tmp_path, capsys, reservoir, key):
         cfg = write_config(tmp_path, "g.json", {"reservoir": reservoir})
         assert run_cli("generate", "-c", cfg, "-o", tmp_path / "o") == 2
@@ -269,6 +274,24 @@ class TestErrors:
                         "3 3 2\n1 1 abc\n2 2 1.0\n")
         assert run_cli("spectrum", path, "-o", tmp_path / "o") == 3
         assert self.single_error_line(capsys)["error"] == "IngestionError"
+
+    def test_short_psd_response(self, tmp_path, capsys):
+        # ``psd --input`` refuses series this short as well.
+        save_reservoir(gen_er(10, 3, seed=0), tmp_path / "res")
+        assert run_cli("psd", "--reservoir", tmp_path / "res.json",
+                       "--samples", 3, "-o", tmp_path / "o") == 2
+        err = self.single_error_line(capsys)
+        assert err["error"] == "ParameterError"
+        assert "T >= 8" in err["message"]
+
+    def test_short_adapt_response(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "a.json", {
+            "task": {"name": "sine-mixture", "seed": 3, "length": 2500},
+            "response_samples": 4})
+        assert run_cli("adapt", "-c", cfg, "-o", tmp_path / "o") == 2
+        err = self.single_error_line(capsys)
+        assert err["error"] == "ParameterError"
+        assert "T must be >= 8" in err["message"]
 
     def test_non_numeric_psd_input(self, tmp_path, capsys):
         path = tmp_path / "series.txt"
@@ -878,8 +901,28 @@ class TestBenchmarkCommand:
         serial, parallel = tmp_path / "s", tmp_path / "p"
         run_cli("benchmark", "-c", cfg, "-o", serial, "--workers", 1)
         run_cli("benchmark", "-c", cfg, "-o", parallel, "--workers", 2)
-        assert (serial / "results.csv").read_bytes() == \
-            (parallel / "results.csv").read_bytes()
+        for name in ("results.csv", "benchmark.json"):
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
+    def test_payloads_leave_out_the_bundle(self, tmp_path, monkeypatch):
+        # Pool workers get the task bundle once, through the initializer.
+        sent = []
+
+        class Recording(cli.ProcessPoolExecutor):
+            def map(self, fn, payloads):
+                payloads = list(payloads)
+                sent.extend(pickle.dumps(p) for p in payloads)
+                return super().map(fn, payloads)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+        cfg = write_config(tmp_path, "b.json", {
+            "task": {"name": "sine-mixture", "seed": 2, "length": 1200},
+            "reservoir": {"family": "ER", "n": 25}, "ensemble": 3})
+        assert run_cli("benchmark", "-c", cfg, "-o", tmp_path / "b",
+                       "--workers", 2) == 0
+        assert len(sent) == 3
+        assert not any(b"TaskBundle" in data for data in sent)
+        assert cli._shared is None
 
     def test_parallel_matches_serial_mackey_glass(self, tmp_path):
         # n=100 is large enough for OpenBLAS to use more than one thread,
@@ -994,6 +1037,61 @@ class TestBenchmarkBlasThreads:
         assert run_cli("benchmark", "-c", cfg, "-o", tmp_path / "b",
                        "--workers", 1) == 2
         assert set(_blas_threads(blas_two_threads)) == {2}
+
+
+def _memory_blas_threads(reservoir, *, T, tau_max, seed, input_kind):
+    """Stands in for ``memory_capacity``: the member's total is the largest
+    thread count of the OpenBLAS libraries in the process that runs it."""
+    threads = max(_blas_threads(_openblas_thread_controls()))
+    return MemoryProfile(per_delay=np.zeros(1), total=float(threads),
+                         tau_max_used=1, input_kind=input_kind)
+
+
+class TestMemoryBlasThreads:
+    CONFIG = {"reservoir": {"family": "ER", "n": 100, "avg_degree": 10},
+              "ensemble": 3, "T": 1200, "tau_max": 20, "seed_base": 5}
+
+    def test_members_run_one_thread(self, tmp_path, monkeypatch,
+                                    blas_two_threads):
+        monkeypatch.setattr(cli, "memory_capacity", _memory_blas_threads)
+        cfg = write_config(tmp_path, "m.json", self.CONFIG)
+        assert run_cli("memory", "-c", cfg, "-o", tmp_path / "m") == 0
+        members = read_json(tmp_path / "m" / "memory.json")["members"]
+        assert [m["total"] for m in members] == [1.0] * 3
+
+    def test_caller_threads_restored(self, tmp_path, blas_two_threads):
+        cfg = write_config(tmp_path, "m.json", dict(self.CONFIG, ensemble=1))
+        assert run_cli("memory", "-c", cfg, "-o", tmp_path / "m") == 0
+        assert set(_blas_threads(blas_two_threads)) == {2}
+
+    def test_caller_threads_restored_after_error(self, tmp_path,
+                                                 blas_two_threads):
+        # The unknown key fails inside the first member.
+        cfg = write_config(tmp_path, "m.json", dict(
+            self.CONFIG, reservoir={"family": "ER", "n": 25, "bogus": 1}))
+        assert run_cli("memory", "-c", cfg, "-o", tmp_path / "m") == 2
+        assert set(_blas_threads(blas_two_threads)) == {2}
+
+    def test_matches_single_thread_members(self, tmp_path, blas_two_threads):
+        cfg = write_config(tmp_path, "m.json", self.CONFIG)
+        assert run_cli("memory", "-c", cfg, "-o", tmp_path / "m") == 0
+        chash = cli.config_hash(self.CONFIG)
+        rows = []
+        with _single_blas_thread():
+            for member in range(self.CONFIG["ensemble"]):
+                built = cli.reservoir_from_config(self.CONFIG["reservoir"],
+                                                  [5, member])
+                doc = cli.memory_profile_to_dict(cli.memory_capacity(
+                    built, T=1200, tau_max=20, seed=[5, member, 1],
+                    input_kind="uniform"))
+                doc.update(member=member, config_hash=chash,
+                           avg_modulus=float(np.mean(np.abs(
+                               built.eigenvalues()))))
+                rows.append(doc)
+        write_json({"config_hash": chash, "members": rows},
+                   tmp_path / "want.json")
+        assert (tmp_path / "m" / "memory.json").read_bytes() == \
+            (tmp_path / "want.json").read_bytes()
 
 
 class TestAdaptCommand:

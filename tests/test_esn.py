@@ -12,7 +12,9 @@ from esnkit.errors import (
     SingularDesignError,
 )
 from esnkit.esn import (
+    _DENSE_CUTOFF,
     TrainedReadout,
+    _drive,
     _free_run,
     _one_step_blocks,
     forecast_free_run,
@@ -150,6 +152,23 @@ class TestTeacherForcedRun:
         rel = (np.linalg.norm(tanh_run.states - lin_run.states)
                / np.linalg.norm(lin_run.states))
         assert rel < 1e-6
+
+
+class TestSparseDrive:
+    """Above ``_DENSE_CUTOFF`` the recursion keeps ``W`` sparse."""
+
+    @pytest.mark.parametrize("shape", [(200,), (60, 3)],
+                             ids=["single", "batched"])
+    def test_bitwise_equal_to_right_product(self, rng, shape):
+        res = gen_er(_DENSE_CUTOFF + 88, 20, seed=3, normalization=None)
+        feed = 0.5 * rng.standard_normal(shape[:1] + shape[1:] + (res.n,))
+        Wt = sp.csr_matrix(res.W).T
+        want = np.empty_like(feed)
+        x = np.zeros(feed.shape[1:])
+        for t in range(len(feed)):
+            x = np.tanh(x @ Wt + feed[t])
+            want[t] = x
+        assert_array_equal(_drive(res, feed, "tanh"), want)
 
 
 class TestTrainReadout:
