@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EsnKitError, GenerationError, ParameterError
+from .errors import GenerationError, NumericError, ParameterError
 from .reservoirs import (_check_config, _normalization_from_config,
                          gen_cycle_enhanced)
 from .signals import _MIN_SAMPLES, periodogram, reservoir_response
@@ -185,7 +185,7 @@ def build_response_table(gen_params: Mapping, lengths: Sequence[int] = (1, 2, 3)
                     profile = reservoir_response(res, n_trials=_TRIALS, T=T,
                                                  seed=[seed, length, g_idx, inst],
                                                  match=match, washout=_WASHOUT)
-                except EsnKitError as exc:
+                except NumericError as exc:
                     raise GenerationError(
                         f"grid point (length={length}, density={density}, "
                         f"instance={inst}): {exc}") from exc

@@ -8,11 +8,10 @@ from __future__ import annotations
 import numpy as np
 
 from .esn import (
-    _best_class,
     _fit_readout,
-    _free_run,
-    _one_step_blocks,
+    forecast_free_run,
     run_teacher_forced,
+    score_against_classes,
     train_class_readouts,
 )
 from .metrics import nrmse
@@ -59,8 +58,8 @@ def _multi_step_errors(reservoir: Reservoir, readout, run, start: int,
     ``start`` on; a diverged rollout's error is infinite."""
     series = run.inputs
     starts = np.linspace(start, len(series) - 1 - horizon, 40).astype(int)
-    ys = _free_run(reservoir, readout, run.states[starts], series[starts],
-                   horizon)
+    ys = forecast_free_run(reservoir, readout, run.states[starts],
+                           series[starts], horizon)
     return ys[:, -1] - series[starts + horizon]
 
 
@@ -98,9 +97,9 @@ def classification_benchmark(bundle: TaskBundle, reservoir: Reservoir, *,
                                     washout=bundle.washout, ridge=ridge)
     labels = [label for label in sorted(bundle.test) for _ in bundle.test[label]]
     recordings = [s for label in sorted(bundle.test) for s in bundle.test[label]]
-    blocks = _one_step_blocks(reservoir, recordings, bundle.washout)
-    failures = sum(_best_class(readouts, *block)[0] != label
-                   for label, block in zip(labels, blocks))
+    results = score_against_classes(readouts, recordings, reservoir,
+                                    washout=bundle.washout)
+    failures = sum(best != label for label, (best, _) in zip(labels, results))
     return failures / len(labels)
 
 

@@ -18,11 +18,10 @@ import scipy.sparse as sp
 from .errors import (
     DimensionError,
     DomainError,
-    DivergenceError,
     ParameterError,
     SingularDesignError,
 )
-from .metrics import nrmse
+from .metrics import _ridge_factor, nrmse
 from .reservoirs import Reservoir
 
 __all__ = [
@@ -63,8 +62,9 @@ class EsnRun:
     washout: int
 
     def design_matrix(self) -> np.ndarray:
-        """Stacked regression features ``[x(t); u(t)]`` for every step."""
-        return np.column_stack([self.states, self.inputs])
+        """Regression features ``[x(t); u(t)]`` for every step: ``(T, n+1)``
+        for one run, ``(T, B, n+1)`` for a batch."""
+        return np.concatenate([self.states, self.inputs[..., None]], axis=-1)
 
 
 @dataclass
@@ -83,34 +83,12 @@ def _recurrence_operator(reservoir: Reservoir):
     return sp.csr_matrix(W)
 
 
-def _drive(reservoir: Reservoir, feed: np.ndarray,
-           activation: str) -> np.ndarray:
-    """Open-loop recursion ``x(t) = f(W x(t-1) + feed[t])`` from ``x = 0``.
-
-    ``feed`` is ``(T, n)`` for one run or ``(T, B, n)`` for B independent
-    runs on the same reservoir; the states come back in the same shape.
-    A single run keeps a 1-D state, so ``x @ W.T`` stays a matrix-vector
-    product, bitwise equal to ``W @ x``; a ``(1, n)`` batch would go
-    through a matrix-matrix product, which rounds differently. A sparse
-    ``W`` multiplies from the left, ``(W @ x.T).T``: the same bits as
-    ``x @ W.T``, as a CSR rather than a slower CSC product.
-    """
-    f = _activation(activation)
-    W = _recurrence_operator(reservoir)
-    sparse, Wt = sp.issparse(W), W.T
-    states = np.empty_like(feed)
-    x = np.zeros(feed.shape[1:])
-    for t in range(len(feed)):
-        x = f(((W @ x.T).T if sparse else x @ Wt) + feed[t])
-        states[t] = x
-    return states
-
-
 def _checked_input(inputs, washout: int) -> np.ndarray:
-    """One input series as floats, after the checks every run makes."""
+    """A ``(T,)`` series or ``(T, B)`` batch as floats, after the checks
+    every run makes."""
     u = np.asarray(inputs, dtype=float)
-    if u.ndim != 1:
-        raise DimensionError("inputs must be one-dimensional")
+    if u.ndim not in (1, 2):
+        raise DimensionError("inputs must be a (T,) series or a (T, B) batch")
     if not np.isfinite(u).all():
         raise DomainError("inputs contain non-finite values")
     if not 0 <= washout < len(u):
@@ -123,22 +101,37 @@ def run_teacher_forced(reservoir: Reservoir, inputs: np.ndarray,
                        activation: str = "tanh") -> EsnRun:
     """Drive the reservoir from ``x(0) = 0``, recording every state.
 
-    The feedback term uses the teacher signal shifted by one step
-    (``y(t-1) = teacher[t-1]``, zero at t=0). When the reservoir has no
-    feedback weights the teacher is ignored entirely, so runs are
-    teacher-independent in that case.
+    ``inputs`` is one ``(T,)`` series or a ``(T, B)`` batch of B independent
+    runs on the same reservoir; the states come back as ``(T, n)`` or
+    ``(T, B, n)``. The feedback term uses the teacher signal (the shape of
+    ``inputs``) shifted by one step (``y(t-1) = teacher[t-1]``, zero at
+    t=0). When the reservoir has no feedback weights the teacher is ignored
+    entirely, so runs are teacher-independent in that case.
+
+    A single run keeps a 1-D state, so ``x @ W.T`` stays a matrix-vector
+    product, bitwise equal to ``W @ x``; a ``(T, 1)`` batch goes through a
+    matrix-matrix product, which rounds differently. A sparse ``W``
+    multiplies from the left, ``(W @ x.T).T``: the same bits as ``x @ W.T``,
+    as a CSR rather than a slower CSC product.
     """
     u = _checked_input(inputs, washout)
-    feed = u[:, None] * reservoir.w_in[None, :]
+    feed = u[..., None] * reservoir.w_in
     has_feedback = np.any(reservoir.w_ofb != 0.0)
     if has_feedback and teacher is not None:
         y = np.asarray(teacher, dtype=float)
         if y.shape != u.shape:
-            raise DimensionError("teacher length must match inputs")
-        y_prev = np.concatenate([[0.0], y[:-1]])
-        feed += y_prev[:, None] * reservoir.w_ofb[None, :]
-    return EsnRun(states=_drive(reservoir, feed, activation), inputs=u,
-                  washout=washout)
+            raise DimensionError("teacher must have the shape of inputs")
+        y_prev = np.concatenate([np.zeros_like(y[:1]), y[:-1]])
+        feed += y_prev[..., None] * reservoir.w_ofb
+    f = _activation(activation)
+    W = _recurrence_operator(reservoir)
+    sparse, Wt = sp.issparse(W), W.T
+    states = np.empty_like(feed)
+    x = np.zeros(feed.shape[1:])
+    for t in range(len(feed)):
+        x = f(((W @ x.T).T if sparse else x @ Wt) + feed[t])
+        states[t] = x
+    return EsnRun(states=states, inputs=u, washout=washout)
 
 
 def solve_ridge(design: np.ndarray, target: np.ndarray, ridge: float) -> np.ndarray:
@@ -155,11 +148,8 @@ def solve_ridge(design: np.ndarray, target: np.ndarray, ridge: float) -> np.ndar
             raise SingularDesignError(
                 "design matrix is rank deficient; supply a nonzero ridge")
         return w
-    gram = design.T @ design
-    gram[np.diag_indices_from(gram)] += ridge
-    rhs = design.T @ target
-    c, low = scipy.linalg.cho_factor(gram, check_finite=False)
-    return scipy.linalg.cho_solve((c, low), rhs, check_finite=False)
+    return scipy.linalg.cho_solve(_ridge_factor(design, ridge),
+                                  design.T @ target, check_finite=False)
 
 
 def _fit_readout(design: np.ndarray, target: np.ndarray,
@@ -175,12 +165,14 @@ def _fit_readout(design: np.ndarray, target: np.ndarray,
 
 def train_readout(run: EsnRun, target: np.ndarray,
                   ridge: float = 1e-8) -> TrainedReadout:
-    """Fit the readout on the post-washout window of a recorded run.
+    """Fit the readout on the post-washout window of a recorded single run.
 
     Minimizes the squared error of ``w . [x(t); u(t)]`` against the target
     plus ``ridge * ||w||^2``. The reported training error is normalized by
     the variance of the input signal over the same window.
     """
+    if run.inputs.ndim != 1:
+        raise DimensionError("a readout is trained on a single run, not a batch")
     y = np.asarray(target, dtype=float)
     T = len(run.inputs)
     if y.shape != (T,):
@@ -191,23 +183,26 @@ def train_readout(run: EsnRun, target: np.ndarray,
     if n_rows < n_features + 1:
         raise ParameterError(
             f"need at least {n_features + 1} post-washout samples, have {n_rows}")
-    design = np.column_stack([run.states[lo:], run.inputs[lo:]])
-    return _fit_readout(design, y[lo:], run.inputs[lo:], ridge)
+    return _fit_readout(run.design_matrix()[lo:], y[lo:], run.inputs[lo:], ridge)
 
 
-def _free_run(reservoir: Reservoir, readout: TrainedReadout, X0: np.ndarray,
-              u0: np.ndarray, horizon: int) -> np.ndarray:
-    """Closed-loop recursion from a ``(B, n)`` stack of start states and
+def forecast_free_run(reservoir: Reservoir, readout: TrainedReadout,
+                      X0: np.ndarray, u0: np.ndarray, horizon: int) -> np.ndarray:
+    """Closed-loop forecasts from a ``(B, n)`` stack of start states and
     ``(B,)`` start inputs: each output becomes the next input (and the
     feedback signal). Returns ``(B, horizon)`` outputs. A row that leaves
     ``[-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT]`` reads ``inf`` from then on and
     its state is zeroed. ``np.matmul`` calls BLAS once per row, so each row
     rounds exactly like a single rollout's ``W @ x`` and ``w @ x``.
     """
-    W = _recurrence_operator(reservoir)
-    w_state, w_input = readout.w_out[:-1], readout.w_out[-1]
+    if horizon < 1:
+        raise ParameterError("horizon must be >= 1")
     X = np.array(X0, dtype=float)
     u = np.asarray(u0, dtype=float)
+    if X.ndim != 2 or X.shape[1] != reservoir.n or u.shape != X.shape[:1]:
+        raise DimensionError("start states must be (B, n) and start inputs (B,)")
+    W = _recurrence_operator(reservoir)
+    w_state, w_input = readout.w_out[:-1], readout.w_out[-1]
     ys = np.full((len(X), horizon), np.inf)
     alive = np.ones(len(X), dtype=bool)
     for h in range(horizon):
@@ -223,25 +218,6 @@ def _free_run(reservoir: Reservoir, readout: TrainedReadout, X0: np.ndarray,
     return ys
 
 
-def forecast_free_run(reservoir: Reservoir, readout: TrainedReadout,
-                      x_init: np.ndarray, u_init: float, horizon: int) -> np.ndarray:
-    """Closed-loop forecast from one state: a batch of one ``_free_run``.
-
-    Raises ``DivergenceError`` with the offending step index if the output
-    leaves ``[-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT]``.
-    """
-    if horizon < 1:
-        raise ParameterError("horizon must be >= 1")
-    x = np.asarray(x_init, dtype=float)
-    if x.shape != (reservoir.n,):
-        raise DimensionError("x_init has the wrong length")
-    [ys] = _free_run(reservoir, readout, x[None], [u_init], horizon)
-    if np.isinf(ys[-1]):
-        step = int(np.argmax(np.isinf(ys))) + 1
-        raise DivergenceError(f"forecast diverged at step {step}", step=step)
-    return ys
-
-
 def _one_step_blocks(reservoir: Reservoir, recordings: Sequence[np.ndarray],
                      washout: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Design rows and next-step targets for each recording, in order.
@@ -250,14 +226,14 @@ def _one_step_blocks(reservoir: Reservoir, recordings: Sequence[np.ndarray],
     equal length are driven as one batch.
     """
     series = [_checked_input(s, washout) for s in recordings]
-    states: dict[int, np.ndarray] = {}
+    designs: dict[int, np.ndarray] = {}
     for length in {len(s) for s in series}:
         members = [i for i, s in enumerate(series) if len(s) == length]
-        u = np.stack([series[i] for i in members], axis=1)
-        batch = _drive(reservoir, u[:, :, None] * reservoir.w_in, "tanh")
-        states.update(zip(members, batch.swapaxes(0, 1)))
-    return [(np.column_stack([states[i][washout:-1], s[washout:-1]]),
-             s[washout + 1:]) for i, s in enumerate(series)]
+        run = run_teacher_forced(reservoir,
+                                 np.stack([series[i] for i in members], axis=1))
+        designs.update(zip(members, run.design_matrix().swapaxes(0, 1)))
+    return [(designs[i][washout:-1], s[washout + 1:])
+            for i, s in enumerate(series)]
 
 
 def train_class_readouts(train_sets: Mapping[int, Sequence[np.ndarray]],
@@ -283,24 +259,20 @@ def train_class_readouts(train_sets: Mapping[int, Sequence[np.ndarray]],
     return readouts
 
 
-def _best_class(readouts: Mapping[int, TrainedReadout], design: np.ndarray,
-                target: np.ndarray) -> tuple[int, dict[int, float]]:
-    """Winning label and per-class errors for one recording's design block,
-    normalized by the recording's own input column."""
-    scores = {label: nrmse(design @ readouts[label].w_out, target, design[:, -1])
-              for label in sorted(readouts)}
-    best = min(sorted(scores), key=lambda lbl: scores[lbl])
-    return best, scores
-
-
 def score_against_classes(readouts: Mapping[int, TrainedReadout],
-                          test: np.ndarray, reservoir: Reservoir,
-                          washout: int = 5) -> tuple[int, dict[int, float]]:
-    """Classify one series with pre-trained per-class readouts.
+                          recordings: Sequence[np.ndarray], reservoir: Reservoir,
+                          washout: int = 5) -> list[tuple[int, dict[int, float]]]:
+    """Classify each recording with pre-trained per-class readouts.
 
-    The winner is the class whose readout forecasts the series with the
-    lowest error (normalized by the test series itself); exact ties go to
+    Returns ``(label, per-class errors)`` for each recording, in order. The
+    winner is the class whose readout forecasts the recording with the
+    lowest error (normalized by the recording itself); exact ties go to
     the lowest class label.
     """
-    [block] = _one_step_blocks(reservoir, [test], washout)
-    return _best_class(readouts, *block)
+    results = []
+    for design, target in _one_step_blocks(reservoir, recordings, washout):
+        scores = {label: nrmse(design @ readouts[label].w_out, target,
+                               design[:, -1])
+                  for label in sorted(readouts)}
+        results.append((min(scores, key=scores.__getitem__), scores))
+    return results

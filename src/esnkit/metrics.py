@@ -80,6 +80,14 @@ class CorrelationStat:
     n_neurons: int
 
 
+def _ridge_factor(design: np.ndarray, ridge: float):
+    """Cholesky factor of ``design.T @ design + ridge * I``, for
+    ``scipy.linalg.cho_solve``."""
+    gram = design.T @ design
+    gram[np.diag_indices_from(gram)] += ridge
+    return scipy.linalg.cho_factor(gram, check_finite=False)
+
+
 def memory_capacity_from_states(states: np.ndarray, drive: np.ndarray,
                                 tau_max: int, start: int | None = None,
                                 ridge: float = 1e-8,
@@ -110,9 +118,7 @@ def memory_capacity_from_states(states: np.ndarray, drive: np.ndarray,
     tr, te = rows[:split], rows[split:]
     design = np.column_stack([X, u])
     design_tr, design_te = design[tr], design[te]
-    gram = design_tr.T @ design_tr
-    gram[np.diag_indices_from(gram)] += ridge
-    factor = scipy.linalg.cho_factor(gram, check_finite=False)
+    factor = _ridge_factor(design_tr, ridge)
     rhs_base = design_tr.T
 
     coeffs = []

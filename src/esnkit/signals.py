@@ -18,7 +18,7 @@ from .errors import (
     DomainError,
     ParameterError,
 )
-from .esn import _drive
+from .esn import run_teacher_forced
 from .reservoirs import Reservoir, make_rng
 
 __all__ = [
@@ -102,10 +102,7 @@ def reservoir_response(reservoir: Reservoir, n_trials: int = 10,
     std = float(np.sqrt(variance))
     drive = np.stack([mean + std * make_rng(seed, t).standard_normal(washout + T)
                       for t in range(n_trials)], axis=1)
-    if not np.isfinite(drive).all():
-        raise DomainError("inputs contain non-finite values")
-    feed = drive[:, :, None] * reservoir.w_in
-    states = _drive(reservoir, feed, "tanh")[washout:]
+    states = run_teacher_forced(reservoir, drive).states[washout:]
     if not np.isfinite(states).all():
         raise DivergenceError("reservoir response diverged")
     # Trial by trial: one transform of the whole batch would hold every

@@ -116,8 +116,8 @@ class TestClassificationBenchmark:
         res = er_reservoir_for(bundle, seed=6)
         readouts = train_class_readouts(bundle.train, res,
                                         washout=bundle.washout)
-        failures = [score_against_classes(readouts, s, res,
-                                          washout=bundle.washout)[0] != label
+        failures = [score_against_classes(readouts, [s], res,
+                                          washout=bundle.washout)[0][0] != label
                     for label, rec in bundle.test.items() for s in rec]
         assert 0 < sum(failures) < len(failures)
         assert classification_benchmark(bundle, res) == \

@@ -293,6 +293,18 @@ class TestErrors:
         assert err["error"] == "ParameterError"
         assert "T must be >= 8" in err["message"]
 
+    @pytest.mark.parametrize("connectivity", [1.5, 0.0])
+    def test_adapt_connectivity_out_of_range(self, tmp_path, capsys,
+                                             connectivity):
+        # The generator rejects it at the table's first grid point: a config
+        # error like any other, not a numeric failure there.
+        cfg = write_config(tmp_path, "a.json", dict(
+            _SMALL_ADAPT, gen_params={"n": 8, "connectivity": connectivity}))
+        assert run_cli("adapt", "-c", cfg, "-o", tmp_path / "o") == 2
+        err = self.single_error_line(capsys)
+        assert err["error"] == "ParameterError"
+        assert "connectivity" in err["message"]
+
     def test_non_numeric_psd_input(self, tmp_path, capsys):
         path = tmp_path / "series.txt"
         path.write_text("0.1\n0.2\nnot-a-number\n0.4\n")

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from esnkit.errors import (
     DimensionError,
-    DivergenceError,
     DomainError,
     ParameterError,
     SingularDesignError,
@@ -14,8 +13,6 @@ from esnkit.errors import (
 from esnkit.esn import (
     _DENSE_CUTOFF,
     TrainedReadout,
-    _drive,
-    _free_run,
     _one_step_blocks,
     forecast_free_run,
     run_teacher_forced,
@@ -80,7 +77,7 @@ class TestStep:
     def test_dimension_check(self):
         res = tiny_reservoir(np.zeros((3, 3)))
         with pytest.raises(DimensionError):
-            run_teacher_forced(res, np.zeros((4, 1)))
+            run_teacher_forced(res, np.zeros((4, 1, 1)))
 
 
 class TestTeacherForcedRun:
@@ -124,6 +121,24 @@ class TestTeacherForcedRun:
         with pytest.raises(DimensionError):
             run_teacher_forced(res, np.zeros(10), teacher=np.zeros(9))
 
+    def test_batch_matches_single_runs(self, rng):
+        # each column of a (T, B) batch, with its own teacher, is one run;
+        # a batch multiplies matrix-matrix, so it agrees to rounding
+        res = gen_er(15, 3, seed=1, feedback=True)
+        u = rng.uniform(-1, 1, (80, 3))
+        y = rng.uniform(-1, 1, (80, 3))
+        run = run_teacher_forced(res, u, teacher=y, washout=5)
+        assert run.states.shape == (80, 3, 15)
+        assert run.design_matrix().shape == (80, 3, 16)
+        for b in range(3):
+            single = run_teacher_forced(res, u[:, b], teacher=y[:, b], washout=5)
+            assert_allclose(run.design_matrix()[:, b], single.design_matrix(),
+                            rtol=0, atol=1e-14)
+        with pytest.raises(DimensionError):
+            run_teacher_forced(res, u, teacher=y[:, 0])
+        with pytest.raises(DimensionError):
+            train_readout(run, u[:, 0])
+
     def test_washout_bound(self):
         res = gen_er(10, 2, seed=0)
         with pytest.raises(ParameterError):
@@ -161,14 +176,15 @@ class TestSparseDrive:
                              ids=["single", "batched"])
     def test_bitwise_equal_to_right_product(self, rng, shape):
         res = gen_er(_DENSE_CUTOFF + 88, 20, seed=3, normalization=None)
-        feed = 0.5 * rng.standard_normal(shape[:1] + shape[1:] + (res.n,))
+        u = 0.5 * rng.standard_normal(shape)
+        feed = u[..., None] * res.w_in
         Wt = sp.csr_matrix(res.W).T
         want = np.empty_like(feed)
         x = np.zeros(feed.shape[1:])
         for t in range(len(feed)):
             x = np.tanh(x @ Wt + feed[t])
             want[t] = x
-        assert_array_equal(_drive(res, feed, "tanh"), want)
+        assert_array_equal(run_teacher_forced(res, u).states, want)
 
 
 class TestTrainReadout:
@@ -250,8 +266,8 @@ class TestFreeRun:
     def test_zero_readout(self):
         res = gen_er(10, 2, seed=0)
         readout = TrainedReadout(np.zeros(11), 0.0, 0.0)
-        ys = forecast_free_run(res, readout, np.zeros(10), 1.0, 7)
-        assert_array_equal(ys, np.zeros(7))
+        ys = forecast_free_run(res, readout, np.zeros((1, 10)), [1.0], 7)
+        assert_array_equal(ys, np.zeros((1, 7)))
 
     def test_horizon_one_is_single_application(self, rng):
         res = gen_er(12, 3, seed=4)
@@ -260,16 +276,16 @@ class TestFreeRun:
         readout = train_readout(run, rng.standard_normal(60))
         x = run.states[30]
         expected = readout.w_out[:-1] @ x + readout.w_out[-1] * u[30]
-        got = forecast_free_run(res, readout, x, u[30], 1)
-        assert got[0] == pytest.approx(expected)
+        got = forecast_free_run(res, readout, x[None], u[30:31], 1)
+        assert got[0, 0] == pytest.approx(expected)
 
     def test_divergence_reports_step(self):
         res = tiny_reservoir(np.zeros((2, 2)))
         readout = TrainedReadout(np.array([0.0, 0.0, 2.0]), 0.0, 0.0)
-        with pytest.raises(DivergenceError) as err:
-            forecast_free_run(res, readout, np.zeros(2), 1.0, 100)
-        # y_h = 2^(h+1) first exceeds 1e6 at step 20
-        assert err.value.step == 20
+        [ys] = forecast_free_run(res, readout, np.zeros((1, 2)), [1.0], 100)
+        # y_h = 2^(h+1) first exceeds 1e6 at step 20, which reads inf
+        assert np.all(np.isfinite(ys[:19]))
+        assert np.all(np.isinf(ys[19:]))
 
     def test_diverged_row_is_frozen_quietly(self):
         # y = 2u: the row started at 0 stays at 0; the row started at 1
@@ -279,8 +295,8 @@ class TestFreeRun:
         readout = TrainedReadout(np.array([0.0, 0.0, 2.0]), 0.0, 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ys = _free_run(res, readout, np.zeros((2, 2)), np.array([0.0, 1.0]),
-                           2000)
+            ys = forecast_free_run(res, readout, np.zeros((2, 2)),
+                                   np.array([0.0, 1.0]), 2000)
         assert_array_equal(ys[0], np.zeros(2000))
         assert_array_equal(ys[1, :19], 2.0 ** np.arange(1, 20))
         assert np.all(np.isinf(ys[1, 19:]))
@@ -289,8 +305,8 @@ class TestFreeRun:
         # y = 2u from 1, -4 and 8 leaves the limit at steps 20, 18 and 17
         res = tiny_reservoir(np.zeros((2, 2)))
         readout = TrainedReadout(np.array([0.0, 0.0, 2.0]), 0.0, 0.0)
-        ys = _free_run(res, readout, np.zeros((3, 2)), np.array([1.0, -4.0, 8.0]),
-                       50)
+        ys = forecast_free_run(res, readout, np.zeros((3, 2)),
+                               np.array([1.0, -4.0, 8.0]), 50)
         assert np.all(np.isinf(ys[:, 19:]))
         assert_array_equal(ys[1, :17], -4.0 * 2.0 ** np.arange(1, 18))
 
@@ -298,12 +314,23 @@ class TestFreeRun:
         res = gen_er(5, 1, seed=0)
         with pytest.raises(ParameterError):
             forecast_free_run(res, TrainedReadout(np.zeros(6), 0, 0),
-                              np.zeros(5), 0.0, 0)
+                              np.zeros((1, 5)), [0.0], 0)
+
+    @pytest.mark.parametrize("X0,u0", [(np.zeros(5), [0.0]),
+                                       (np.zeros((2, 4)), [0.0, 0.0]),
+                                       (np.zeros((2, 5)), [0.0])],
+                             ids=["one-state", "state-length", "input-count"])
+    def test_shape_validation(self, X0, u0):
+        res = gen_er(5, 1, seed=0)
+        with pytest.raises(DimensionError):
+            forecast_free_run(res, TrainedReadout(np.zeros(6), 0, 0), X0, u0, 3)
 
 
 def classify(train_sets, test, reservoir, washout=5):
     readouts = train_class_readouts(train_sets, reservoir, washout=washout)
-    return score_against_classes(readouts, test, reservoir, washout=washout)
+    [result] = score_against_classes(readouts, [test], reservoir,
+                                     washout=washout)
+    return result
 
 
 class TestClassification:
@@ -378,7 +405,8 @@ class TestClassification:
         res = gen_er(100, 10, seed=8,
                      normalization=Normalization("spectral_radius", 1.0))
         readouts = train_class_readouts(train, res, washout=5)
-        failures = sum(
-            score_against_classes(readouts, series, res, washout=5)[0] != label
-            for label, series in tests)
+        results = score_against_classes(readouts, [s for _, s in tests], res,
+                                        washout=5)
+        failures = sum(best != label
+                       for (label, _), (best, _) in zip(tests, results))
         assert failures / len(tests) <= 0.1

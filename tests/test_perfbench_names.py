@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from esnkit import cli
+from esnkit import benchmarks, cli
 from esnkit.adapt import build_response_table
+from esnkit.reservoirs import gen_er
+from esnkit.tasks import gen_synthetic_classification, mackey_glass_bundle
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -65,3 +67,28 @@ def test_table_trials_read_by_tracer(tracing):
         build_response_table({"n": 10, "connectivity": 0.3}, lengths=(1, 2),
                              density_grid=(0.0, 0.5), n_instances=2, T=32)
     assert tracing.layer_stats(tracer.spans)["signals.response_trials"] == 8
+
+
+def test_tracer_sees_every_loop(tracing):
+    # The tracer counts runs and closed-loop forecasts at the public esn
+    # functions and bundle time at the task builders, so every benchmark
+    # path must go through them. Each run is counted as T * B * n.
+    n = 10
+    res = gen_er(n, 3, seed=1, feedback=True)
+    classes = gen_synthetic_classification(2, 3, 16, seed=0, test_per_class=2)
+    mg = mackey_glass_bundle(seed=0, length=300, horizon=5, washout=50)
+    with tracing.Tracer() as tracer:
+        benchmarks.classification_benchmark(classes, res)
+        benchmarks.forecast_benchmark(mg, res)
+        build_response_table({"n": n, "connectivity": 0.3}, lengths=(1, 2),
+                             density_grid=(0.0, 0.5), n_instances=1, T=32)
+        cli.task_from_config({"name": "synthetic-classification",
+                              "n_classes": 2, "per_class": 2, "length": 16})
+    stats = tracing.layer_stats(tracer.spans)
+    assert stats["esn.runs"] > 0
+    assert stats["esn.free_runs"] > 0
+    assert stats["tasks.bundle_s"] > 0
+    # Both classes' training batches and one test batch; the train and
+    # test series of Mackey-Glass; four table points of 100 + 32 steps.
+    assert stats["esn.neuron_steps"] == n * (16 * (3 + 3 + 4) + 2 * 300
+                                             + 4 * (100 + 32))
