@@ -115,17 +115,6 @@ class AdaptationResult:
     fallback: bool = False
 
 
-def _checked_gen_params(gen_params: Mapping, filled: Sequence[str] = ()):
-    """Check ``gen_params`` and split it into the other arguments of
-    :func:`gen_cycle_enhanced` and the normalization. The grid supplies
-    ``length``, ``cycle_density`` and ``seed``; the caller fills ``filled``."""
-    params = dict(gen_params)
-    normalization = _normalization_from_config(params.pop("normalization", None))
-    _check_config(gen_cycle_enhanced, "'gen_params'", params,
-                  supplied=("length", "cycle_density", "seed", *filled))
-    return params, normalization
-
-
 def build_response_table(gen_params: Mapping, lengths: Sequence[int] = (1, 2, 3),
                          density_grid: Sequence[float] = DEFAULT_DENSITY_GRID,
                          n_instances: int = 10, seed: int = 0, *,
@@ -150,7 +139,10 @@ def build_response_table(gen_params: Mapping, lengths: Sequence[int] = (1, 2, 3)
         raise ParameterError("'lengths' and 'density_grid' must not be empty")
     if not all(abs(r) <= 1 for r in grid):
         raise ParameterError("density grid must lie within [-1, 1]")
-    params, normalization = _checked_gen_params(gen_params)
+    params = dict(gen_params)
+    normalization = _normalization_from_config(params.pop("normalization", None))
+    _check_config(gen_cycle_enhanced, "'gen_params'", params,
+                  supplied=("length", "cycle_density", "seed"))
 
     cache_key = None
     if cache_dir is not None:

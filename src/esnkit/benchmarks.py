@@ -5,6 +5,8 @@ bundle's defaults. Used by the CLI sweeps and the adaptation heuristic.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .esn import (
@@ -28,6 +30,7 @@ __all__ = [
     "forecast_benchmark",
     "classification_benchmark",
     "benchmark",
+    "protocol_fields",
     "er_reservoir_for",
     "cycle_reservoir_for",
     "cycle_evaluator",
@@ -111,24 +114,32 @@ def benchmark(bundle: TaskBundle, reservoir: Reservoir, *,
     return forecast_benchmark(bundle, reservoir, ridge=ridge)
 
 
+def protocol_fields(bundle: TaskBundle, builder) -> dict:
+    """The fields of a bundle's default protocol that the generator
+    ``builder`` takes: ``n``, ``avg_degree``, ``connectivity`` (the edge
+    fraction ``2 * avg_degree / n``) and ``feedback``."""
+    d = bundle.esn_defaults
+    fields = {"n": d.n, "avg_degree": d.avg_degree,
+              "connectivity": 2.0 * d.avg_degree / d.n, "feedback": d.feedback}
+    taken = inspect.signature(builder).parameters
+    return {key: value for key, value in fields.items() if key in taken}
+
+
 def er_reservoir_for(bundle: TaskBundle, seed: SeedLike, *,
                      alpha: float | None = None) -> Reservoir:
     """Random reservoir matching a bundle's default protocol settings."""
-    d = bundle.esn_defaults
-    return gen_er(d.n, d.avg_degree, seed,
-                  Normalization("spectral_radius", alpha or d.alpha),
-                  feedback=d.feedback)
+    return gen_er(seed=seed, normalization=Normalization(
+        "spectral_radius", alpha or bundle.esn_defaults.alpha),
+        **protocol_fields(bundle, gen_er))
 
 
 def cycle_reservoir_for(bundle: TaskBundle, cycle_density: dict[int, float],
                         seed: SeedLike, *, mean_modulus: float) -> Reservoir:
     """Cycle-enhanced reservoir for a bundle, normalized by mean eigenvalue
     modulus (the statistic that adding cycles leaves meaningful)."""
-    d = bundle.esn_defaults
-    connectivity = 2.0 * d.avg_degree / d.n
-    return gen_combined(d.n, connectivity, cycle_density, seed,
-                        Normalization("avg_modulus", mean_modulus),
-                        feedback=d.feedback)
+    return gen_combined(cycle_density=cycle_density, seed=seed,
+                        normalization=Normalization("avg_modulus", mean_modulus),
+                        **protocol_fields(bundle, gen_combined))
 
 
 def cycle_evaluator(bundle: TaskBundle, *, mean_modulus: float,

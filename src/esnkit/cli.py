@@ -14,10 +14,12 @@ import contextlib
 import ctypes
 import functools
 import hashlib
+import inspect
 import json
 import os
 import sys
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -29,12 +31,11 @@ import numpy as np
 from . import __version__
 from .adapt import (
     DEFAULT_DENSITY_GRID,
-    _checked_gen_params,
     build_response_table,
     match_signal,
     validate_and_combine,
 )
-from .benchmarks import benchmark, cycle_evaluator
+from .benchmarks import benchmark, cycle_evaluator, protocol_fields
 from .errors import (
     ConfigError,
     DataError,
@@ -43,9 +44,10 @@ from .errors import (
     ParameterError,
 )
 from .metrics import bin_by_lambda, memory_capacity
-from .reservoirs import (_call_with_config, _family_key,
-                         _normalization_from_config, make_reservoir)
-from .signals import periodogram, reservoir_response
+from .reservoirs import (_builder, _call_with_config,
+                         _normalization_from_config, gen_cycle_enhanced,
+                         make_reservoir)
+from .signals import _MIN_SAMPLES, periodogram, reservoir_response
 from .spectral import spectrum_report
 from .storage import (
     load_matrix,
@@ -119,13 +121,20 @@ def _at_least_one(**fields) -> None:
 
 
 def _read_series(path) -> np.ndarray:
-    """A one-value-per-line series file as a 1-D array."""
+    """A one-value-per-line series file of at least ``_MIN_SAMPLES`` values
+    as a 1-D array."""
     try:
-        series = np.loadtxt(path)
+        with warnings.catch_warnings():
+            # An empty file warns; the length check below reports it.
+            warnings.simplefilter("ignore", UserWarning)
+            series = np.loadtxt(path, ndmin=1)
     except ValueError as exc:
         raise IngestionError(f"{path}: {exc}") from exc
     if series.ndim != 1 or not np.isfinite(series).all():
         raise DataError(f"{path}: series must be one finite value per line")
+    if len(series) < _MIN_SAMPLES:
+        raise ParameterError(f"{path}: a series file needs at least "
+                             f"{_MIN_SAMPLES} values, got {len(series)}")
     return series
 
 
@@ -185,7 +194,7 @@ def reservoir_from_config(cfg: dict, seed):
     norm = cfg.pop("normalization", None)
     if norm is not None:
         cfg["normalization"] = _normalization_from_config(norm)
-    if _family_key(family) != "DELAY_LINE":
+    if "seed" in inspect.signature(_builder(family)).parameters:
         cfg["seed"] = seed
     return make_reservoir(family, **cfg)
 
@@ -411,16 +420,11 @@ def cmd_benchmark(args, outdir: Path, cfg: dict, *, task: dict,
     points = ([(0, None, None)] if sweep is None
               else _call_with_config(_sweep_points, "'sweep'", sweep))
     bundle = task_from_config(task)
-    base_cfg = dict(reservoir)
-    family = _family_key(base_cfg.get("family", "ER"))
-    defaults = bundle.esn_defaults
-    base_cfg.setdefault("n", defaults.n)
-    if family in ("ER", "SF", "PLW"):
-        base_cfg.setdefault("avg_degree", defaults.avg_degree)
-        base_cfg.setdefault("normalization",
-                            {"mode": "spectral_radius", "value": defaults.alpha})
-    if family != "DELAY_LINE":  # the only builder without feedback
-        base_cfg.setdefault("feedback", defaults.feedback)
+    fields = protocol_fields(bundle, _builder(reservoir.get("family", "ER")))
+    if "avg_degree" in fields:
+        fields["normalization"] = {"mode": "spectral_radius",
+                                   "value": bundle.esn_defaults.alpha}
+    base_cfg = {**fields, **reservoir}
 
     payloads = []
     for sweep_idx, param, value in points:
@@ -458,27 +462,24 @@ def cmd_benchmark(args, outdir: Path, cfg: dict, *, task: dict,
 
 @_config_command
 def cmd_adapt(args, outdir: Path, cfg: dict, *, task: dict,
-              gen_params: dict | None = None, mean_modulus: float = 0.6,
+              mean_modulus: float = 0.6,
               ridge: float = 1e-8, n_seeds: int = 20, seed_base: int = 0,
               lengths: Sequence[int] = (1, 2, 3),
               density_grid: Sequence[float] = DEFAULT_DENSITY_GRID,
               n_instances: int = 10, table_seed: int = 0,
               response_samples: int = 1024) -> list[Path]:
     _at_least_one(n_seeds=n_seeds)
-    gen_params = dict(gen_params or {})
-    _checked_gen_params(gen_params, filled=[key for key in ("n", "connectivity")
-                                            if key not in gen_params])
+    signal = _read_series(args.signal) if args.signal else None
     bundle = task_from_config(task)
     if isinstance(bundle.train, dict):
         raise ConfigError("adaptation expects a forecasting task")
-    defaults = bundle.esn_defaults
-    gen_params.setdefault("n", defaults.n)
-    gen_params.setdefault("connectivity", 2.0 * defaults.avg_degree / defaults.n)
-    gen_params.setdefault("normalization", {"mode": "avg_modulus",
-                                            "value": float(mean_modulus)})
+    if signal is None:
+        signal = np.asarray(bundle.train, dtype=float)
 
-    signal = (_read_series(args.signal) if args.signal
-              else np.asarray(bundle.train, dtype=float))
+    # The same task fields and normalization as the validation's reservoirs.
+    gen_params = dict(protocol_fields(bundle, gen_cycle_enhanced),
+                      normalization={"mode": "avg_modulus",
+                                     "value": float(mean_modulus)})
     table = build_response_table(
         gen_params, lengths=lengths, density_grid=density_grid,
         n_instances=n_instances, seed=table_seed, T=response_samples,

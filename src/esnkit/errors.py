@@ -40,11 +40,9 @@ class DataError(EsnKitError):
 class IngestionError(DataError):
     """A data file could not be parsed."""
 
-    def __init__(self, message: str, *, line: int | None = None,
-                 record: int | None = None):
+    def __init__(self, message: str, *, line: int | None = None):
         super().__init__(message)
         self.line = line
-        self.record = record
 
 
 class NumericError(EsnKitError):
@@ -54,10 +52,6 @@ class NumericError(EsnKitError):
 class ConvergenceError(NumericError):
     """An iterative numeric routine failed to converge."""
 
-    def __init__(self, message: str, *, iterations: int = -1):
-        super().__init__(message)
-        self.iterations = iterations
-
 
 class DegenerateSpectrumError(NumericError):
     """The spectrum is identically zero; scaling targets are unreachable."""
@@ -65,10 +59,6 @@ class DegenerateSpectrumError(NumericError):
 
 class DivergenceError(NumericError):
     """A simulated trajectory blew up."""
-
-    def __init__(self, message: str, *, step: int = -1):
-        super().__init__(message)
-        self.step = step
 
 
 class GenerationError(NumericError):

@@ -586,13 +586,17 @@ def _family_key(family) -> str:
     return family.upper()
 
 
-def make_reservoir(family: str, **kwargs) -> Reservoir:
-    """Dispatch to a generator by family name (config-driven entry point)."""
+def _builder(family):
+    """The generator of a family name; an unknown family is a config error."""
     try:
-        builder = _FAMILY_BUILDERS[_family_key(family)]
+        return _FAMILY_BUILDERS[_family_key(family)]
     except KeyError:
         raise ParameterError(f"unknown reservoir family {family!r}") from None
-    return _call_with_config(builder, f"{family} reservoir", kwargs)
+
+
+def make_reservoir(family: str, **kwargs) -> Reservoir:
+    """Dispatch to a generator by family name (config-driven entry point)."""
+    return _call_with_config(_builder(family), f"{family} reservoir", kwargs)
 
 
 def _check_config(builder, section: str, cfg: Mapping,

@@ -66,14 +66,11 @@ def eigenvalues(W) -> np.ndarray:
         conjugate-symmetric to within 1e-8 of the spectral radius.
     """
     A = _as_dense(W)
-    n = A.shape[0]
     try:
         vals = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(
-            f"eigenvalue iteration did not converge: {exc}",
-            iterations=100 * n,
-        ) from exc
+            f"eigenvalue iteration did not converge: {exc}") from exc
     _check_conjugate_pairs(vals)
     return vals
 

@@ -79,23 +79,20 @@ def gen_mackey_glass(length: int = 10000, *, beta: float = 0.2,
                      noise_sigma: float = 0.05, discard: int = 1000,
                      history: float | None = None,
                      history_range: tuple[float, float] = (1.1, 1.3),
-                     normalize: bool = True,
-                     delay_interp: str = "hermite") -> np.ndarray:
+                     normalize: bool = True) -> np.ndarray:
     """Integrate the delayed feedback oscillator and return a sampled series.
 
     ``ds/dt = beta * s(t - tau) / (1 + s(t - tau)**exponent) - gamma * s(t)``
 
     Integration is fourth-order Runge-Kutta with step ``step``; the delayed
-    term at half-steps is interpolated (cubic Hermite by default, which
-    preserves the integrator's order; ``delay_interp="linear"`` is cheaper
-    but only second-order accurate). The delay buffer is seeded with uniform
+    term at half-steps is interpolated by cubic Hermite, which preserves the
+    integrator's order (linearly over the first delay, where the history
+    has no derivatives). The delay buffer is seeded with uniform
     random values on ``history_range`` (or a constant, for convergence
     studies), the first ``discard`` points are dropped, and the remainder is
     normalized to zero mean / unit variance before Gaussian observation
     noise of scale ``noise_sigma`` is added.
     """
-    if delay_interp not in ("hermite", "linear"):
-        raise ParameterError(f"unknown delay_interp {delay_interp!r}")
     if length < 1 or discard < 0:
         raise ParameterError("length must be >= 1 and discard >= 0")
     d_float = tau / step
@@ -114,13 +111,12 @@ def gen_mackey_glass(length: int = 10000, *, beta: float = 0.2,
     # Derivatives on the grid, for Hermite interpolation of the delayed term.
     # Only defined once the delayed argument is itself on the buffer.
     derivs = np.full(d + 1 + total, np.nan)
-    use_hermite = delay_interp == "hermite"
     h = step
     for k in range(d, d + total):
         s = buf[k]
         sd0 = buf[k - d]
         sd1 = buf[k - d + 1]
-        if use_hermite and k - d >= d:
+        if k - d >= d:
             f0, f1 = derivs[k - d], derivs[k - d + 1]
             sd_half = 0.5 * (sd0 + sd1) + 0.125 * h * (f0 - f1)
         else:
@@ -276,14 +272,13 @@ def _parse_mfcc_blocks(path) -> list[np.ndarray]:
                 raise IngestionError(
                     f"{path.name}:{lineno}: expected 13 values, "
                     f"got {len(fields)} (recording {len(recordings)}, "
-                    f"frame {len(current)})",
-                    line=lineno, record=len(recordings))
+                    f"frame {len(current)})", line=lineno)
             try:
                 current.append(float(fields[0]))
             except ValueError:
                 raise IngestionError(
                     f"{path.name}:{lineno}: cannot parse frame",
-                    line=lineno, record=len(recordings)) from None
+                    line=lineno) from None
     if current:
         recordings.append(np.asarray(current))
     if not recordings:
@@ -302,8 +297,7 @@ def _group_by_class(recordings: list[np.ndarray], n_classes: int,
     for idx, rec in enumerate(recordings):
         label = min(idx // per_class, n_classes - 1)
         if len(rec) < 2:
-            raise IngestionError(f"recording {idx} has fewer than 2 frames",
-                                 record=idx)
+            raise IngestionError(f"recording {idx} has fewer than 2 frames")
         processed = resample_to_length(normalize_series(rec), target_length)
         grouped[label].append(processed)
     return grouped

@@ -214,6 +214,15 @@ class TestBuildResponseTable:
                                  density_grid=(0.0,), n_instances=1, T=128,
                                  cache_dir=tmp_path)
 
+    def test_feedback_leaves_the_response_unchanged(self):
+        # The noise drive has no readout to feed back, and the feedback
+        # weights are drawn after everything else.
+        tables = [build_response_table(dict(GEN, n=20, feedback=feedback),
+                                       lengths=(1, 2), density_grid=(-0.5, 0.5),
+                                       n_instances=2, T=64)
+                  for feedback in (False, True)]
+        assert_array_equal(tables[0].power, tables[1].power)
+
     def test_cache_key_is_stable(self, tmp_path):
         # The key hashes the parameters only; a change to it orphans every
         # cached table.

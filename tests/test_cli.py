@@ -1,5 +1,7 @@
 import contextlib
 import csv
+import functools
+import inspect
 import io
 import json
 import multiprocessing
@@ -14,10 +16,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esnkit import cli
+from esnkit import benchmarks, cli, reservoirs
+from esnkit.benchmarks import benchmark
 from esnkit.cli import _openblas_thread_controls, _single_blas_thread, main
 from esnkit.metrics import MemoryProfile
-from esnkit.reservoirs import gen_er
+from esnkit.reservoirs import Normalization, gen_er, make_reservoir
 from esnkit.storage import (read_json, save_matrix, save_reservoir,
                             write_json)
 
@@ -236,14 +239,18 @@ class TestErrors:
         assert not (tmp_path / "cache").exists()
 
     def test_gen_params_checked_before_task(self, tmp_path, capsys, recwarn):
-        # A 1200-sample sine mixture warns that it is short once it is built.
+        # The task sets the reservoirs of the table, so a well-formed
+        # ``gen_params`` is an unknown field too. A 1200-sample sine
+        # mixture warns that it is short once it is built.
         cfg = write_config(tmp_path, "a.json", {
             "task": {"name": "sine-mixture", "length": 1200},
-            "gen_params": {"n": "x"}})
+            "gen_params": {"n": 8, "connectivity": 0.3}, "lengths": [1],
+            "density_grid": [0.0], "n_instances": 1, "n_seeds": 1,
+            "response_samples": 64})
         assert run_cli("adapt", "-c", cfg, "-o", tmp_path / "o") == 2
         err = self.single_error_line(capsys)
         assert err["error"] == "ParameterError"
-        assert "'gen_params'" in err["message"] and "'n'" in err["message"]
+        assert "'gen_params'" in err["message"]
         assert [str(w.message) for w in recwarn] == []
 
     @pytest.mark.parametrize("task, key", [
@@ -296,10 +303,11 @@ class TestErrors:
     @pytest.mark.parametrize("connectivity", [1.5, 0.0])
     def test_adapt_connectivity_out_of_range(self, tmp_path, capsys,
                                              connectivity):
-        # The generator rejects it at the table's first grid point: a config
-        # error like any other, not a numeric failure there.
-        cfg = write_config(tmp_path, "a.json", dict(
-            _SMALL_ADAPT, gen_params={"n": 8, "connectivity": connectivity}))
+        # The task's 2 * avg_degree / n; the generator rejects it at the
+        # table's first grid point: a config error like any other, not a
+        # numeric failure there.
+        task = dict(_TINY_MG, n_neurons=8, avg_degree=4 * connectivity)
+        cfg = write_config(tmp_path, "a.json", dict(_SMALL_ADAPT, task=task))
         assert run_cli("adapt", "-c", cfg, "-o", tmp_path / "o") == 2
         err = self.single_error_line(capsys)
         assert err["error"] == "ParameterError"
@@ -310,6 +318,26 @@ class TestErrors:
         path.write_text("0.1\n0.2\nnot-a-number\n0.4\n")
         assert run_cli("psd", "--input", path, "-o", tmp_path / "o") == 3
         assert self.single_error_line(capsys)["error"] == "IngestionError"
+
+    @pytest.mark.parametrize("values", [0, 1, 7])
+    @pytest.mark.parametrize("command", ["psd", "adapt"])
+    def test_short_series_file(self, tmp_path, capsys, recwarn, command,
+                               values):
+        path = tmp_path / "series.txt"
+        path.write_text("".join(f"{0.1 * i}\n" for i in range(values)))
+        if command == "psd":
+            args = ["psd", "--input", path]
+        else:
+            cfg = write_config(tmp_path, "a.json", _SMALL_ADAPT)
+            args = ["adapt", "-c", cfg, "--signal", path,
+                    "--cache-dir", tmp_path / "cache"]
+        assert run_cli(*args, "-o", tmp_path / "o") == 2
+        err = self.single_error_line(capsys)
+        assert err["error"] == "ParameterError"
+        assert str(path) in err["message"] and "8" in err["message"]
+        assert [str(w.message) for w in recwarn] == []
+        # The series is checked before any table work.
+        assert not (tmp_path / "cache").exists()
 
     def test_non_numeric_adapt_signal(self, tmp_path, capsys):
         path = tmp_path / "signal.txt"
@@ -626,6 +654,11 @@ class TestGenerateFuzz:
 #: A tiny forecasting task, so that a fuzzed config that does run is quick.
 _TINY_TASK = {"name": "sine-mixture", "seed": 1, "length": 1200}
 
+#: A tiny Mackey-Glass task; unlike the sine mixture, it sets the size of
+#: its reservoirs, which are ``2 * 1.2 / 8 = 0.3`` connected.
+_TINY_MG = {"name": "mackey-glass", "seed": 1, "length": 600, "n_neurons": 8,
+            "avg_degree": 1.2, "washout": 100, "horizon": 5}
+
 #: ``sweep`` shapes: half the time a valid sweep (or none), otherwise
 #: another type, a mapping with missing, misspelt or mistyped keys, or
 #: values of the wrong type or range for their parameter.
@@ -707,40 +740,32 @@ _FUZZED_BENCHMARK = _fuzzed_fields(
      "ridge": st.just(_ABSENT) | st.floats(1e-9, 1e-3),
      "bins": st.just(_ABSENT) | st.integers(1, 3)})
 
-#: ``gen_params``: half the time a small valid section, otherwise another
-#: type, a junk value, a misspelt key or a key the table supplies itself.
-_FUZZED_GEN_PARAMS = _valid_or(
-    st.fixed_dictionaries({"n": st.integers(4, 10),
-                           "connectivity": st.floats(0.1, 0.5)},
-                          optional={"l1_mode": st.sampled_from(
-                              ["weight_mix", "edge_count"])}),
-    _JUNK | st.fixed_dictionaries({"n": _JUNK, "connectivity": _JUNK})
-    | st.dictionaries(st.sampled_from(["l1mode", "length", "seed",
-                                       "cycle_density"]),
-                      _NUMBERS, min_size=1, max_size=1).map(
-        lambda extra: {"n": 8, "connectivity": 0.3, **extra}))
-
 #: Fields that are expensive at their defaults are never left out.
-_SMALL_ADAPT = {"task": _TINY_TASK, "lengths": [1], "density_grid": [0.0, 0.5],
-                "gen_params": {"n": 8, "connectivity": 0.3}, "n_instances": 1,
-                "response_samples": 64, "n_seeds": 1}
-_FUZZED_ADAPT = _fuzzed_fields(
-    _SMALL_ADAPT,
-    {"mean_modulus": st.just(_ABSENT) | st.floats(0.3, 0.9),
-     "ridge": st.just(_ABSENT) | st.floats(1e-9, 1e-3),
-     "n_seeds": st.integers(1, 2),
-     "seed_base": _OPTIONAL_SEED,
-     "table_seed": _OPTIONAL_SEED,
-     "response_samples": st.integers(32, 64)})
+_SMALL_ADAPT = {"task": _TINY_MG, "lengths": [1], "density_grid": [0.0, 0.5],
+                "n_instances": 1, "response_samples": 64, "n_seeds": 1}
+_ADAPT_FIELDS = {"mean_modulus": st.just(_ABSENT) | st.floats(0.3, 0.9),
+                 "ridge": st.just(_ABSENT) | st.floats(1e-9, 1e-3),
+                 "n_seeds": st.integers(1, 2),
+                 "seed_base": _OPTIONAL_SEED,
+                 "table_seed": _OPTIONAL_SEED,
+                 "response_samples": st.integers(32, 64)}
+#: Half the time every field is valid, so that the whole pipeline runs.
+_FUZZED_ADAPT = _valid_or(
+    st.fixed_dictionaries(_ADAPT_FIELDS).map(lambda drawn: {
+        **_SMALL_ADAPT,
+        **{key: value for key, value in drawn.items() if value is not _ABSENT}}),
+    _fuzzed_fields(_SMALL_ADAPT, _ADAPT_FIELDS))
 
 
 class TestCommandFieldsFuzz:
     @staticmethod
-    def run(command, cfg, *extra):
+    def run(command, cfg, *extra) -> int:
         with tempfile.TemporaryDirectory() as tmp:
             path = write_config(Path(tmp), "c.json", cfg)
-            _assert_clean_exit(*_run_quietly(
-                command, "-c", path, "-o", Path(tmp) / "o", *extra))
+            code, stderr = _run_quietly(command, "-c", path,
+                                        "-o", Path(tmp) / "o", *extra)
+        _assert_clean_exit(code, stderr)
+        return code
 
     # Most draws fail fast on a junk field; those that pass are the cost.
     @settings(max_examples=250, derandomize=True, database=None,
@@ -755,11 +780,18 @@ class TestCommandFieldsFuzz:
     def test_benchmark(self, cfg):
         self.run("benchmark", cfg, "--workers", 1)
 
-    @settings(max_examples=100, derandomize=True, database=None,
-              deadline=None)
-    @given(_FUZZED_ADAPT)
-    def test_adapt(self, cfg):
-        self.run("adapt", cfg)
+    def test_adapt(self):
+        codes = []
+
+        @settings(max_examples=100, derandomize=True, database=None,
+                  deadline=None)
+        @given(_FUZZED_ADAPT)
+        def fuzz(cfg):
+            codes.append(self.run("adapt", cfg))
+
+        fuzz()
+        # Some draws get past every check and run the whole pipeline.
+        assert 0 in codes
 
     @settings(max_examples=40, derandomize=True, database=None,
               deadline=None)
@@ -768,12 +800,6 @@ class TestCommandFieldsFuzz:
         self.run("benchmark", {
             "task": task, "reservoir": {"family": "ER", "n": 10,
                                         "avg_degree": 3}}, "--workers", 1)
-
-    @settings(max_examples=40, derandomize=True, database=None,
-              deadline=None)
-    @given(_FUZZED_GEN_PARAMS)
-    def test_gen_params(self, gen_params):
-        self.run("adapt", dict(_SMALL_ADAPT, gen_params=gen_params))
 
 
 class TestBenchmarkAdaptFuzz:
@@ -796,8 +822,7 @@ class TestBenchmarkAdaptFuzz:
               deadline=None)
     @given(_FUZZED_LENGTHS, _FUZZED_GRID)
     def test_adapt_lengths_and_grid(self, lengths, density_grid):
-        cfg = {"task": _TINY_TASK,
-               "gen_params": {"n": 10, "connectivity": 0.3},
+        cfg = {"task": _TINY_MG,
                "lengths": lengths, "density_grid": density_grid,
                "n_instances": 1, "response_samples": 64, "n_seeds": 2}
         with tempfile.TemporaryDirectory() as tmp:
@@ -989,6 +1014,23 @@ class TestBenchmarkCommand:
                                .splitlines()[2:]))
         assert [row[2] for row in rows] == ["0.500000", "0.900000"]
 
+    def test_cycle_family_takes_connectivity_from_task(self, tmp_path):
+        task = dict(_TINY_MG, n_neurons=12, avg_degree=3)
+        cfg = write_config(tmp_path, "b.json", {
+            "task": task,
+            "reservoir": {"family": "CYCLE", "cycle_density": {"2": 0.3}}})
+        out = tmp_path / "cyc"
+        assert run_cli("benchmark", "-c", cfg, "-o", out, "--workers", 1) == 0
+        # 2 * avg_degree / n_neurons, at the task's feedback.
+        want = make_reservoir("CYCLE", n=12, connectivity=0.5,
+                              cycle_density={"2": 0.3}, seed=[0, 0, 0],
+                              feedback=True)
+        with _single_blas_thread():
+            score = benchmark(cli.task_from_config(task), want)
+        rows = list(csv.reader((out / "results.csv").read_text()
+                               .splitlines()[2:]))
+        assert [row[4] for row in rows] == [f"{score:.8f}"]
+
 
 def _blas_threads(controls) -> list[int]:
     return [get() for _, get in controls]
@@ -1109,8 +1151,7 @@ class TestMemoryBlasThreads:
 class TestAdaptCommand:
     def test_small_adaptation(self, tmp_path):
         cfg = write_config(tmp_path, "a.json", {
-            "task": {"name": "sine-mixture", "seed": 3, "length": 2500},
-            "gen_params": {"n": 40, "connectivity": 0.2},
+            "task": dict(_TINY_MG, length=2500, n_neurons=40, avg_degree=4),
             "lengths": [1, 2], "density_grid": [-0.4, 0.0, 0.4],
             "n_instances": 2, "response_samples": 256,
             "n_seeds": 3, "mean_modulus": 0.55})
@@ -1129,3 +1170,27 @@ class TestAdaptCommand:
                        "--cache-dir", cache) == 0
         assert (out / "adaptation.json").read_bytes() == \
             (out2 / "adaptation.json").read_bytes()
+
+    def test_table_and_validation_build_the_same_reservoirs(self, tmp_path,
+                                                           monkeypatch):
+        calls = []
+        signature = inspect.signature(reservoirs.gen_combined)
+
+        @functools.wraps(reservoirs.gen_combined)
+        def spy(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append(tuple(bound.arguments[key] for key in (
+                "n", "connectivity", "normalization", "feedback")))
+            return spy.__wrapped__(*args, **kwargs)
+
+        monkeypatch.setattr(reservoirs, "gen_combined", spy)
+        monkeypatch.setattr(benchmarks, "gen_combined", spy)
+        cfg = write_config(tmp_path, "a.json", dict(
+            _SMALL_ADAPT, task=dict(_TINY_MG, n_neurons=12, avg_degree=3),
+            lengths=[1, 2], density_grid=[-0.4, 0.0, 0.4], n_seeds=2))
+        assert run_cli("adapt", "-c", cfg, "-o", tmp_path / "o") == 0
+        # 6 table reservoirs, then at least the two of the baseline.
+        assert len(calls) >= 6 + 2
+        assert set(calls) == {
+            (12, 0.5, Normalization("avg_modulus", 0.6), True)}

@@ -63,20 +63,6 @@ class TestMackeyGlass:
         e2 = np.abs(mid[(idx + 1) * 2 - 1] - fine[(idx + 1) * 4 - 1]).max()
         assert np.log2(e1 / e2) >= 3.5
 
-    def test_linear_delay_interp_is_low_order(self):
-        def run(h, interp):
-            n = int(round(120 / h))
-            return gen_mackey_glass(n, step=h, seed=0, noise_sigma=0.0,
-                                    normalize=False, history=1.2, discard=0,
-                                    delay_interp=interp)
-
-        idx = np.arange(699, 1200)
-        ref = run(0.025, "hermite")
-        e1 = np.abs(run(0.1, "linear")[idx] - ref[(idx + 1) * 4 - 1]).max()
-        e2 = np.abs(run(0.05, "linear")[(idx + 1) * 2 - 1]
-                    - ref[(idx + 1) * 4 - 1]).max()
-        assert 1.5 <= np.log2(e1 / e2) <= 3.0
-
     def test_delay_must_be_grid_multiple(self):
         with pytest.raises(ParameterError):
             gen_mackey_glass(100, tau=17.05, step=0.1)
