@@ -26,7 +26,8 @@ import numpy as np
 from .errors import GenerationError, NumericError, ParameterError
 from .reservoirs import (_check_config, _normalization_from_config,
                          gen_cycle_enhanced)
-from .signals import _MIN_SAMPLES, periodogram, reservoir_response
+from .signals import (_MIN_SAMPLES, _RESPONSE_WASHOUT, periodogram,
+                      reservoir_response)
 
 __all__ = [
     "ResponseTable",
@@ -43,8 +44,8 @@ DEFAULT_DENSITY_GRID = (-0.8, -0.6, -0.4, -0.2, 0.0, 0.2, 0.4, 0.6, 0.8)
 #: whenever a change would alter the values of a cached table.
 _TABLE_FORMAT = 1
 
-#: White-noise drives per reservoir instance, and the steps each discards.
-_TRIALS, _WASHOUT = 1, 100
+#: White-noise drives per reservoir instance.
+_TRIALS = 1
 
 
 @dataclass
@@ -153,7 +154,7 @@ def build_response_table(gen_params: Mapping, lengths: Sequence[int] = (1, 2, 3)
              [normalization.mode, normalization.value],
              "lengths": lengths, "grid": grid, "n_instances": n_instances,
              "seed": seed, "n_trials": _TRIALS, "T": T, "match": match,
-             "washout": _WASHOUT},
+             "washout": _RESPONSE_WASHOUT},
             sort_keys=True)
         cache_key = hashlib.sha256(payload.encode()).hexdigest()[:16]
         cached = Path(cache_dir) / f"response_table_{cache_key}"
@@ -176,7 +177,7 @@ def build_response_table(gen_params: Mapping, lengths: Sequence[int] = (1, 2, 3)
                     # perfbench counts trials from the n_trials keyword.
                     profile = reservoir_response(res, n_trials=_TRIALS, T=T,
                                                  seed=[seed, length, g_idx, inst],
-                                                 match=match, washout=_WASHOUT)
+                                                 match=match)
                 except NumericError as exc:
                     raise GenerationError(
                         f"grid point (length={length}, density={density}, "

@@ -10,13 +10,14 @@ import inspect
 import numpy as np
 
 from .esn import (
-    _fit_readout,
+    TrainedReadout,
     forecast_free_run,
     run_teacher_forced,
     score_against_classes,
+    solve_ridge,
     train_class_readouts,
 )
-from .metrics import nrmse
+from .metrics import RIDGE, nrmse
 from .reservoirs import (
     Normalization,
     Reservoir,
@@ -45,13 +46,13 @@ def _next_step_run(reservoir: Reservoir, series: np.ndarray, washout: int):
 
 
 def _trained_pass(reservoir: Reservoir, bundle: TaskBundle,
-                  series: np.ndarray, ridge: float):
+                  series: np.ndarray):
     """Teacher-forced pass over ``series``, which begins with the bundle's
     training series, and the next-step readout fitted on the training rows."""
     run = _next_step_run(reservoir, series, bundle.washout)
     rows = slice(bundle.washout, len(bundle.train) - 1)
-    return run, _fit_readout(run.design_matrix()[rows], run.inputs[1:][rows],
-                             run.inputs[rows], ridge)
+    return run, TrainedReadout(solve_ridge(run.design_matrix()[rows],
+                                           run.inputs[1:][rows], RIDGE))
 
 
 def _multi_step_errors(reservoir: Reservoir, readout, run, start: int,
@@ -66,8 +67,7 @@ def _multi_step_errors(reservoir: Reservoir, readout, run, start: int,
     return ys[:, -1] - series[starts + horizon]
 
 
-def forecast_benchmark(bundle: TaskBundle, reservoir: Reservoir, *,
-                       ridge: float = 1e-8) -> float:
+def forecast_benchmark(bundle: TaskBundle, reservoir: Reservoir) -> float:
     """Forecasting error of a reservoir on a bundle, per its protocol.
 
     One-step tasks score the readout's next-step predictions over the test
@@ -78,10 +78,10 @@ def forecast_benchmark(bundle: TaskBundle, reservoir: Reservoir, *,
     horizon = bundle.esn_defaults.horizon
     if bundle.continuous:
         series = np.concatenate([bundle.train, bundle.test])
-        run, readout = _trained_pass(reservoir, bundle, series, ridge)
+        run, readout = _trained_pass(reservoir, bundle, series)
         start = len(bundle.train)
     else:
-        readout = _trained_pass(reservoir, bundle, bundle.train, ridge)[1]
+        readout = _trained_pass(reservoir, bundle, bundle.train)[1]
         series, start = bundle.test, bundle.washout
         run = _next_step_run(reservoir, series, bundle.washout)
 
@@ -93,11 +93,10 @@ def forecast_benchmark(bundle: TaskBundle, reservoir: Reservoir, *,
     return float(np.sqrt(np.mean(errors ** 2) / np.var(series[start:])))
 
 
-def classification_benchmark(bundle: TaskBundle, reservoir: Reservoir, *,
-                             ridge: float = 1e-8) -> float:
+def classification_benchmark(bundle: TaskBundle, reservoir: Reservoir) -> float:
     """Failure rate of classification-by-forecasting over a bundle's test set."""
     readouts = train_class_readouts(bundle.train, reservoir,
-                                    washout=bundle.washout, ridge=ridge)
+                                    washout=bundle.washout)
     labels = [label for label in sorted(bundle.test) for _ in bundle.test[label]]
     recordings = [s for label in sorted(bundle.test) for s in bundle.test[label]]
     results = score_against_classes(readouts, recordings, reservoir,
@@ -106,12 +105,11 @@ def classification_benchmark(bundle: TaskBundle, reservoir: Reservoir, *,
     return failures / len(labels)
 
 
-def benchmark(bundle: TaskBundle, reservoir: Reservoir, *,
-              ridge: float = 1e-8) -> float:
+def benchmark(bundle: TaskBundle, reservoir: Reservoir) -> float:
     """Dispatch on the bundle kind; lower is always better."""
     if isinstance(bundle.train, dict):
-        return classification_benchmark(bundle, reservoir, ridge=ridge)
-    return forecast_benchmark(bundle, reservoir, ridge=ridge)
+        return classification_benchmark(bundle, reservoir)
+    return forecast_benchmark(bundle, reservoir)
 
 
 def protocol_fields(bundle: TaskBundle, builder) -> dict:
@@ -142,8 +140,7 @@ def cycle_reservoir_for(bundle: TaskBundle, cycle_density: dict[int, float],
                         **protocol_fields(bundle, gen_combined))
 
 
-def cycle_evaluator(bundle: TaskBundle, *, mean_modulus: float,
-                    ridge: float = 1e-8):
+def cycle_evaluator(bundle: TaskBundle, *, mean_modulus: float):
     """Evaluation callable for the adaptation pipeline: maps a cycle-density
     configuration and a seed list to per-seed benchmark scores."""
 
@@ -152,7 +149,7 @@ def cycle_evaluator(bundle: TaskBundle, *, mean_modulus: float,
         for s in seeds:
             res = cycle_reservoir_for(bundle, cycle_density, s,
                                       mean_modulus=mean_modulus)
-            scores.append(benchmark(bundle, res, ridge=ridge))
+            scores.append(benchmark(bundle, res))
         return scores
 
     return evaluate

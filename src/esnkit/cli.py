@@ -127,11 +127,12 @@ def _read_series(path) -> np.ndarray:
         with warnings.catch_warnings():
             # An empty file warns; the length check below reports it.
             warnings.simplefilter("ignore", UserWarning)
-            series = np.loadtxt(path, ndmin=1)
+            column = np.loadtxt(path, ndmin=2)
     except ValueError as exc:
         raise IngestionError(f"{path}: {exc}") from exc
-    if series.ndim != 1 or not np.isfinite(series).all():
+    if column.shape[1] != 1 or not np.isfinite(column).all():
         raise DataError(f"{path}: series must be one finite value per line")
+    series = column[:, 0]
     if len(series) < _MIN_SAMPLES:
         raise ParameterError(f"{path}: a series file needs at least "
                              f"{_MIN_SAMPLES} values, got {len(series)}")
@@ -404,9 +405,9 @@ def _run_members(worker, payloads, workers: int, shared=None) -> list:
 def _benchmark_member(payload) -> tuple[int, int, float, float, float]:
     """Worker for one ensemble member of the shared task bundle; top-level
     for process pools."""
-    res_cfg, sweep_idx, value, seed_parts, ridge = payload
+    res_cfg, sweep_idx, value, seed_parts = payload
     reservoir = reservoir_from_config(res_cfg, seed_parts)
-    score = benchmark(_shared, reservoir, ridge=ridge)
+    score = benchmark(_shared, reservoir)
     return (sweep_idx, seed_parts[-1], float(value if value is not None else 0),
             _mean_modulus(reservoir), score)
 
@@ -414,7 +415,7 @@ def _benchmark_member(payload) -> tuple[int, int, float, float, float]:
 @_config_command
 def cmd_benchmark(args, outdir: Path, cfg: dict, *, task: dict,
                   reservoir: dict, sweep: dict | None = None,
-                  ensemble: int = 1, seed_base: int = 0, ridge: float = 1e-8,
+                  ensemble: int = 1, seed_base: int = 0,
                   bins: int = 10) -> list[Path]:
     _at_least_one(ensemble=ensemble, bins=bins)
     points = ([(0, None, None)] if sweep is None
@@ -432,7 +433,7 @@ def cmd_benchmark(args, outdir: Path, cfg: dict, *, task: dict,
                    if param is not None else base_cfg)
         for member in range(ensemble):
             payloads.append((res_cfg, sweep_idx, value,
-                             [seed_base, sweep_idx, member], ridge))
+                             [seed_base, sweep_idx, member]))
 
     results = _run_members(_benchmark_member, payloads, args.workers,
                            shared=bundle)
@@ -462,8 +463,7 @@ def cmd_benchmark(args, outdir: Path, cfg: dict, *, task: dict,
 
 @_config_command
 def cmd_adapt(args, outdir: Path, cfg: dict, *, task: dict,
-              mean_modulus: float = 0.6,
-              ridge: float = 1e-8, n_seeds: int = 20, seed_base: int = 0,
+              mean_modulus: float = 0.6, n_seeds: int = 20, seed_base: int = 0,
               lengths: Sequence[int] = (1, 2, 3),
               density_grid: Sequence[float] = DEFAULT_DENSITY_GRID,
               n_instances: int = 10, table_seed: int = 0,
@@ -487,7 +487,7 @@ def cmd_adapt(args, outdir: Path, cfg: dict, *, task: dict,
         cache_dir=args.cache_dir or None)
     matched = match_signal(table, signal)
 
-    evaluate = cycle_evaluator(bundle, mean_modulus=mean_modulus, ridge=ridge)
+    evaluate = cycle_evaluator(bundle, mean_modulus=mean_modulus)
     baseline = evaluate({}, [[seed_base, i] for i in range(n_seeds)])
     result = validate_and_combine(matched, evaluate, baseline, n_seeds,
                                   seed_base=seed_base)

@@ -21,7 +21,7 @@ from .errors import (
     ParameterError,
     SingularDesignError,
 )
-from .metrics import _ridge_factor, nrmse
+from .metrics import RIDGE, _ridge_factor, nrmse
 from .reservoirs import Reservoir
 
 __all__ = [
@@ -72,8 +72,6 @@ class TrainedReadout:
     """Trained readout row vector over N neurons plus the input channel."""
 
     w_out: np.ndarray
-    ridge: float
-    train_nrmse: float
 
 
 def _recurrence_operator(reservoir: Reservoir):
@@ -152,24 +150,12 @@ def solve_ridge(design: np.ndarray, target: np.ndarray, ridge: float) -> np.ndar
                                   design.T @ target, check_finite=False)
 
 
-def _fit_readout(design: np.ndarray, target: np.ndarray,
-                 normalizer: np.ndarray, ridge: float) -> TrainedReadout:
-    """Ridge readout on explicit design rows, with its training NRMSE
-    normalized by ``normalizer`` (exactly 0 for a perfect fit)."""
-    w = solve_ridge(design, target, ridge)
-    pred = design @ w
-    sse = float(np.sum((target - pred) ** 2))
-    err = 0.0 if sse == 0.0 else nrmse(pred, target, normalizer)
-    return TrainedReadout(w_out=w, ridge=ridge, train_nrmse=err)
-
-
 def train_readout(run: EsnRun, target: np.ndarray,
-                  ridge: float = 1e-8) -> TrainedReadout:
+                  ridge: float = RIDGE) -> TrainedReadout:
     """Fit the readout on the post-washout window of a recorded single run.
 
     Minimizes the squared error of ``w . [x(t); u(t)]`` against the target
-    plus ``ridge * ||w||^2``. The reported training error is normalized by
-    the variance of the input signal over the same window.
+    plus ``ridge * ||w||^2``.
     """
     if run.inputs.ndim != 1:
         raise DimensionError("a readout is trained on a single run, not a batch")
@@ -177,13 +163,15 @@ def train_readout(run: EsnRun, target: np.ndarray,
     T = len(run.inputs)
     if y.shape != (T,):
         raise DimensionError("target length must match the run")
+    if not np.isfinite(y).all():
+        raise DomainError("target contains non-finite values")
     lo = run.washout
     n_rows = T - lo
     n_features = run.states.shape[1] + 1
     if n_rows < n_features + 1:
         raise ParameterError(
             f"need at least {n_features + 1} post-washout samples, have {n_rows}")
-    return _fit_readout(run.design_matrix()[lo:], y[lo:], run.inputs[lo:], ridge)
+    return TrainedReadout(solve_ridge(run.design_matrix()[lo:], y[lo:], ridge))
 
 
 def forecast_free_run(reservoir: Reservoir, readout: TrainedReadout,
@@ -237,8 +225,8 @@ def _one_step_blocks(reservoir: Reservoir, recordings: Sequence[np.ndarray],
 
 
 def train_class_readouts(train_sets: Mapping[int, Sequence[np.ndarray]],
-                         reservoir: Reservoir, washout: int = 5,
-                         ridge: float = 1e-8) -> dict[int, TrainedReadout]:
+                         reservoir: Reservoir,
+                         washout: int = 5) -> dict[int, TrainedReadout]:
     """One next-step readout per class, trained on that class's recordings."""
     if len(train_sets) < 2:
         raise ParameterError("need at least two classes")
@@ -255,7 +243,7 @@ def train_class_readouts(train_sets: Mapping[int, Sequence[np.ndarray]],
             raise SingularDesignError(
                 f"class {label!r} has too few training samples "
                 f"({design.shape[0]} rows for {n_features} features)")
-        readouts[label] = _fit_readout(design, target, design[:, -1], ridge)
+        readouts[label] = TrainedReadout(solve_ridge(design, target, RIDGE))
     return readouts
 
 

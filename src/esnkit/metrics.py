@@ -23,6 +23,7 @@ from .errors import (
 from .reservoirs import Reservoir, make_rng
 
 __all__ = [
+    "RIDGE",
     "MemoryProfile",
     "CorrelationStat",
     "BinStat",
@@ -32,6 +33,9 @@ __all__ = [
     "mean_squared_correlation",
     "bin_by_lambda",
 ]
+
+#: The ridge penalty of every protocol readout (forecast, class, memory).
+RIDGE = 1e-8
 
 
 def nrmse(predicted, target, normalizer) -> float:
@@ -90,7 +94,7 @@ def _ridge_factor(design: np.ndarray, ridge: float):
 
 def memory_capacity_from_states(states: np.ndarray, drive: np.ndarray,
                                 tau_max: int, start: int | None = None,
-                                ridge: float = 1e-8,
+                                ridge: float = RIDGE,
                                 input_kind: str = "unknown") -> MemoryProfile:
     """Delay-recall capacity computed from an already recorded trajectory.
 
@@ -153,7 +157,7 @@ def memory_capacity(reservoir: Reservoir, T: int = 4000,
     standard normal or ``"uniform"`` for uniform on [-1, 1] (the default,
     matching the ensemble studies). ``tau_max`` defaults to twice the
     reservoir size. The first ``max(100, tau_max)`` steps are not scored,
-    and each readout is fitted with ridge 1e-8.
+    and each readout is fitted with ridge ``RIDGE``.
     """
     from .esn import run_teacher_forced  # local import; esn depends on metrics
 

@@ -34,6 +34,9 @@ __all__ = [
 #: The shortest series a periodogram or a reservoir response is taken of.
 _MIN_SAMPLES = 8
 
+#: The steps of a white-noise drive discarded before its response is taken.
+_RESPONSE_WASHOUT = 100
+
 
 @dataclass
 class PsdProfile:
@@ -84,14 +87,13 @@ def periodogram(x) -> PsdProfile:
 
 def reservoir_response(reservoir: Reservoir, n_trials: int = 10,
                        T: int = 1024, seed: int = 0,
-                       match: tuple[float, float] = (0.0, 1.0), *,
-                       washout: int = 100) -> PsdProfile:
+                       match: tuple[float, float] = (0.0, 1.0)) -> PsdProfile:
     """Average white-noise frequency response of a reservoir.
 
     Drives the reservoir with Gaussian noise whose mean and variance match
-    ``match``, discards the washout, and averages the periodograms of every
-    neuron over ``n_trials`` independent drives. Output feedback is not
-    engaged (there is no readout).
+    ``match``, discards the first ``_RESPONSE_WASHOUT`` steps, and averages
+    the periodograms of every neuron over ``n_trials`` independent drives.
+    Output feedback is not engaged (there is no readout).
     """
     if n_trials < 1 or T < _MIN_SAMPLES:
         raise ParameterError(f"n_trials must be >= 1 and T >= {_MIN_SAMPLES}, "
@@ -100,9 +102,10 @@ def reservoir_response(reservoir: Reservoir, n_trials: int = 10,
     if variance <= 0:
         raise ParameterError("matched variance must be positive")
     std = float(np.sqrt(variance))
-    drive = np.stack([mean + std * make_rng(seed, t).standard_normal(washout + T)
+    steps = _RESPONSE_WASHOUT + T
+    drive = np.stack([mean + std * make_rng(seed, t).standard_normal(steps)
                       for t in range(n_trials)], axis=1)
-    states = run_teacher_forced(reservoir, drive).states[washout:]
+    states = run_teacher_forced(reservoir, drive).states[_RESPONSE_WASHOUT:]
     if not np.isfinite(states).all():
         raise DivergenceError("reservoir response diverged")
     # Trial by trial: one transform of the whole batch would hold every

@@ -145,6 +145,9 @@ def mackey_glass_bundle(seed: SeedLike = 0, length: int = 10000,
                         washout: int = 1000) -> TaskBundle:
     """Noisy chaotic-forecasting task: independent train and test series,
     one-step training with output feedback, 84-step closed-loop evaluation."""
+    if horizon >= length - washout:
+        raise ParameterError(f"horizon ({horizon}) must be below length "
+                             f"({length}) minus washout ({washout})")
     base = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
     train = gen_mackey_glass(length, seed=base + [0], noise_sigma=noise_sigma)
     test = gen_mackey_glass(length, seed=base + [1], noise_sigma=noise_sigma)

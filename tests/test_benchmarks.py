@@ -53,7 +53,7 @@ def _mackey_glass_rollouts(seed, cycle_density, mean_modulus, n=100):
                                  n_neurons=n)
     res = cycle_reservoir_for(bundle, cycle_density, [seed, 1],
                               mean_modulus=mean_modulus)
-    readout = _trained_pass(res, bundle, bundle.train, 1e-8)[1]
+    readout = _trained_pass(res, bundle, bundle.train)[1]
     return res, readout, _next_step_run(res, bundle.test, bundle.washout)
 
 

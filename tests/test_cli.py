@@ -6,6 +6,7 @@ import io
 import json
 import multiprocessing
 import pickle
+import re
 import tempfile
 from pathlib import Path
 
@@ -253,6 +254,48 @@ class TestErrors:
         assert "'gen_params'" in err["message"]
         assert [str(w.message) for w in recwarn] == []
 
+    @pytest.mark.parametrize("command", ["benchmark", "adapt"])
+    def test_ridge_is_not_a_field(self, tmp_path, capsys, command):
+        # Every protocol readout is fit with ``metrics.RIDGE``.
+        if command == "benchmark":
+            cfg = {"task": _TINY_TASK, "reservoir": {"family": "ER", "n": 20}}
+            extra = ["--workers", 1]
+        else:
+            cfg, extra = dict(_SMALL_ADAPT), ["--cache-dir", tmp_path / "cache"]
+        path = write_config(tmp_path, "c.json", dict(cfg, ridge=1e-8))
+        assert run_cli(command, "-c", path, "-o", tmp_path / "o", *extra) == 2
+        err = self.single_error_line(capsys)
+        assert err["error"] == "ParameterError"
+        assert "'ridge'" in err["message"]
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("command", ["benchmark", "adapt"])
+    def test_horizon_past_the_series(self, tmp_path, capsys, command):
+        # Its closed-loop anchors would start before the washout and end
+        # past the series.
+        task = {"name": "mackey-glass", "length": 600, "washout": 100,
+                "horizon": 700}
+        if command == "benchmark":
+            cfg = {"task": task, "reservoir": {"family": "ER"}}
+            extra = ["--workers", 1]
+        else:
+            cfg = dict(_SMALL_ADAPT, task=task)
+            extra = ["--cache-dir", tmp_path / "cache"]
+        path = write_config(tmp_path, "c.json", cfg)
+        assert run_cli(command, "-c", path, "-o", tmp_path / "o", *extra) == 2
+        err = self.single_error_line(capsys)
+        assert err["error"] == "ParameterError"
+        assert all(key in err["message"]
+                   for key in ("horizon", "length", "washout"))
+        assert not (tmp_path / "cache").exists()
+
+    def test_longest_horizon_runs(self, tmp_path):
+        task = dict(_TINY_MG, length=600, washout=100, horizon=499)
+        path = write_config(tmp_path, "c.json", {
+            "task": task, "reservoir": {"family": "ER"}})
+        assert run_cli("benchmark", "-c", path, "-o", tmp_path / "o",
+                       "--workers", 1) == 0
+
     @pytest.mark.parametrize("task, key", [
         ({"name": "mackey-glass", "bogus": 1}, "bogus"),
         ({"name": "laser"}, "path"),
@@ -337,6 +380,23 @@ class TestErrors:
         assert str(path) in err["message"] and "8" in err["message"]
         assert [str(w.message) for w in recwarn] == []
         # The series is checked before any table work.
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("command", ["psd", "adapt"])
+    def test_one_line_series_file(self, tmp_path, capsys, command):
+        # Eight values on one line are one row, not a series.
+        path = tmp_path / "series.txt"
+        path.write_text("1 2 3 4 5 6 7 8\n")
+        if command == "psd":
+            args = ["psd", "--input", path]
+        else:
+            cfg = write_config(tmp_path, "a.json", _SMALL_ADAPT)
+            args = ["adapt", "-c", cfg, "--signal", path,
+                    "--cache-dir", tmp_path / "cache"]
+        assert run_cli(*args, "-o", tmp_path / "o") == 3
+        err = self.single_error_line(capsys)
+        assert err["error"] == "DataError"
+        assert "one finite value per line" in err["message"]
         assert not (tmp_path / "cache").exists()
 
     def test_non_numeric_adapt_signal(self, tmp_path, capsys):
@@ -434,9 +494,14 @@ class TestErrors:
         ("benchmark", {"task": {"name": "sine-mixture", "seed": 1,
                                 "length": 1200},
                        "reservoir": {"family": "ER", "n": 20},
-                       "ridge": float("nan")}, "'ridge'"),
+                       "sweep": {"param": "alpha",
+                                 "values": [0.5, float("nan")]}}, "'values'"),
+        ("adapt", {"task": {"name": "sine-mixture", "seed": 1,
+                            "length": 1200},
+                   "mean_modulus": float("nan")}, "'mean_modulus'"),
     ], ids=["delay_line_nan_weight", "sf_inf_gamma", "sf_nan_gamma",
-            "cycle_nan_density", "benchmark_nan_ridge"])
+            "cycle_nan_density", "benchmark_nan_sweep_value",
+            "adapt_nan_mean_modulus"])
     def test_non_finite_config_number(self, tmp_path, capsys, recwarn,
                                       command, cfg, key):
         path = write_config(tmp_path, "c.json", cfg)
@@ -737,14 +802,12 @@ _FUZZED_BENCHMARK = _fuzzed_fields(
      "reservoir": {"family": "ER", "n": 10, "avg_degree": 3}},
     {"ensemble": st.just(_ABSENT) | st.integers(1, 2),
      "seed_base": _OPTIONAL_SEED,
-     "ridge": st.just(_ABSENT) | st.floats(1e-9, 1e-3),
      "bins": st.just(_ABSENT) | st.integers(1, 3)})
 
 #: Fields that are expensive at their defaults are never left out.
 _SMALL_ADAPT = {"task": _TINY_MG, "lengths": [1], "density_grid": [0.0, 0.5],
                 "n_instances": 1, "response_samples": 64, "n_seeds": 1}
 _ADAPT_FIELDS = {"mean_modulus": st.just(_ABSENT) | st.floats(0.3, 0.9),
-                 "ridge": st.just(_ABSENT) | st.floats(1e-9, 1e-3),
                  "n_seeds": st.integers(1, 2),
                  "seed_base": _OPTIONAL_SEED,
                  "table_seed": _OPTIONAL_SEED,
@@ -1052,7 +1115,7 @@ def blas_two_threads():
         set_threads(count)
 
 
-def _member_blas_threads(bundle, reservoir, ridge):
+def _member_blas_threads(bundle, reservoir):
     """Stands in for ``benchmark``: the member's score is the largest
     thread count of the OpenBLAS libraries in the process that runs it."""
     return float(max(_blas_threads(_openblas_thread_controls())))
@@ -1171,6 +1234,15 @@ class TestAdaptCommand:
         assert (out / "adaptation.json").read_bytes() == \
             (out2 / "adaptation.json").read_bytes()
 
+    def test_table_cache_key_is_stable(self, tmp_path):
+        # The key hashes the table's parameters, the 100-step response
+        # washout among them; a change to it orphans every cached table.
+        cfg = write_config(tmp_path, "a.json", _SMALL_ADAPT)
+        assert run_cli("adapt", "-c", cfg, "-o", tmp_path / "o",
+                       "--cache-dir", tmp_path / "cache") == 0
+        assert [d.name for d in (tmp_path / "cache").iterdir()] == [
+            "response_table_744518bb59380da0"]
+
     def test_table_and_validation_build_the_same_reservoirs(self, tmp_path,
                                                            monkeypatch):
         calls = []
@@ -1194,3 +1266,30 @@ class TestAdaptCommand:
         assert len(calls) >= 6 + 2
         assert set(calls) == {
             (12, 0.5, Normalization("avg_modulus", 0.6), True)}
+
+
+def _readme_config_fields() -> dict[str, set[str]]:
+    """Command -> field names of the README's block of top-level config
+    fields: a command starts a line, its fields are the ``name:`` entries
+    of that line and of the indented lines under it."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    _, _, after = readme.partition("Top-level fields of each config command")
+    block = after.split("```")[1]
+    fields: dict[str, set[str]] = {}
+    for line in block.strip("\n").splitlines():
+        if not line.startswith(" "):
+            command, _, line = line.partition(" ")
+            fields[command] = set()
+        fields[command].update(re.findall(r"(\w+):", line))
+    return fields
+
+
+def test_readme_config_fields_match_the_commands():
+    documented = _readme_config_fields()
+    assert sorted(documented) == ["adapt", "benchmark", "generate", "memory"]
+    for command, names in documented.items():
+        body = getattr(cli, f"cmd_{command}").__wrapped__
+        keyword_only = {p.name for p in
+                        inspect.signature(body).parameters.values()
+                        if p.kind is inspect.Parameter.KEYWORD_ONLY}
+        assert names == keyword_only, command

@@ -202,9 +202,8 @@ class TestTrainReadout:
 
     def test_zero_target(self, rng):
         run = self.make_run(rng)
-        readout = train_readout(run, np.zeros(len(run.inputs)), ridge=1e-8)
+        readout = train_readout(run, np.zeros(len(run.inputs)))
         assert_array_equal(readout.w_out, np.zeros(21))
-        assert readout.train_nrmse == 0.0
 
     def test_matches_extended_precision_oracle(self, rng):
         run = self.make_run(rng)
@@ -221,7 +220,14 @@ class TestTrainReadout:
         run = run_teacher_forced(res, u)
         with pytest.raises(SingularDesignError, match="ridge"):
             train_readout(run, u, ridge=0.0)
-        train_readout(run, u, ridge=1e-8)  # regularized fit succeeds
+        train_readout(run, u)  # the protocol ridge succeeds
+
+    def test_non_finite_target_rejected(self, rng):
+        run = self.make_run(rng)
+        target = np.zeros(len(run.inputs))
+        target[50] = np.nan
+        with pytest.raises(DomainError, match="target"):
+            train_readout(run, target)
 
     def test_needs_enough_samples(self, rng):
         res = gen_er(30, 5, seed=1)
@@ -265,7 +271,7 @@ class TestTrainReadout:
 class TestFreeRun:
     def test_zero_readout(self):
         res = gen_er(10, 2, seed=0)
-        readout = TrainedReadout(np.zeros(11), 0.0, 0.0)
+        readout = TrainedReadout(np.zeros(11))
         ys = forecast_free_run(res, readout, np.zeros((1, 10)), [1.0], 7)
         assert_array_equal(ys, np.zeros((1, 7)))
 
@@ -281,7 +287,7 @@ class TestFreeRun:
 
     def test_divergence_reports_step(self):
         res = tiny_reservoir(np.zeros((2, 2)))
-        readout = TrainedReadout(np.array([0.0, 0.0, 2.0]), 0.0, 0.0)
+        readout = TrainedReadout(np.array([0.0, 0.0, 2.0]))
         [ys] = forecast_free_run(res, readout, np.zeros((1, 2)), [1.0], 100)
         # y_h = 2^(h+1) first exceeds 1e6 at step 20, which reads inf
         assert np.all(np.isfinite(ys[:19]))
@@ -292,7 +298,7 @@ class TestFreeRun:
         # leaves the limit at step 20. Its input (doubled every step) would
         # overflow before step 2000 if not frozen.
         res = tiny_reservoir(2.0 * np.eye(2), w_in=[1.0, 0.5])
-        readout = TrainedReadout(np.array([0.0, 0.0, 2.0]), 0.0, 0.0)
+        readout = TrainedReadout(np.array([0.0, 0.0, 2.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ys = forecast_free_run(res, readout, np.zeros((2, 2)),
@@ -304,7 +310,7 @@ class TestFreeRun:
     def test_all_rows_diverged(self):
         # y = 2u from 1, -4 and 8 leaves the limit at steps 20, 18 and 17
         res = tiny_reservoir(np.zeros((2, 2)))
-        readout = TrainedReadout(np.array([0.0, 0.0, 2.0]), 0.0, 0.0)
+        readout = TrainedReadout(np.array([0.0, 0.0, 2.0]))
         ys = forecast_free_run(res, readout, np.zeros((3, 2)),
                                np.array([1.0, -4.0, 8.0]), 50)
         assert np.all(np.isinf(ys[:, 19:]))
@@ -313,7 +319,7 @@ class TestFreeRun:
     def test_horizon_validation(self):
         res = gen_er(5, 1, seed=0)
         with pytest.raises(ParameterError):
-            forecast_free_run(res, TrainedReadout(np.zeros(6), 0, 0),
+            forecast_free_run(res, TrainedReadout(np.zeros(6)),
                               np.zeros((1, 5)), [0.0], 0)
 
     @pytest.mark.parametrize("X0,u0", [(np.zeros(5), [0.0]),
@@ -323,7 +329,7 @@ class TestFreeRun:
     def test_shape_validation(self, X0, u0):
         res = gen_er(5, 1, seed=0)
         with pytest.raises(DimensionError):
-            forecast_free_run(res, TrainedReadout(np.zeros(6), 0, 0), X0, u0, 3)
+            forecast_free_run(res, TrainedReadout(np.zeros(6)), X0, u0, 3)
 
 
 def classify(train_sets, test, reservoir, washout=5):

@@ -6,6 +6,7 @@ from esnkit.errors import ConstantSeriesError, ParameterError
 from esnkit.esn import run_teacher_forced
 from esnkit.reservoirs import gen_cycle_enhanced, gen_er, make_rng
 from esnkit.signals import (
+    _RESPONSE_WASHOUT,
     gaussian_smooth,
     normalize_series,
     periodogram,
@@ -85,11 +86,12 @@ class TestReservoirResponse:
         # the reference
         res = gen_er(40, 6, seed=3)
         profile = reservoir_response(res, n_trials=3, T=256, seed=4,
-                                     match=(0.2, 0.5), washout=50)
+                                     match=(0.2, 0.5))
         total = 0.0
         for trial in range(3):
-            drive = 0.2 + np.sqrt(0.5) * make_rng(4, trial).standard_normal(306)
-            states = run_teacher_forced(res, drive).states[50:]
+            drive = 0.2 + np.sqrt(0.5) * make_rng(4, trial).standard_normal(
+                _RESPONSE_WASHOUT + 256)
+            states = run_teacher_forced(res, drive).states[_RESPONSE_WASHOUT:]
             total = total + np.mean([periodogram(states[:, i]).power
                                      for i in range(40)], axis=0)
         assert_allclose(profile.power, total / 3, rtol=0,
