@@ -4,15 +4,18 @@ Everything here deliberately avoids the code paths under test: the
 characteristic polynomial comes from trace power sums, least squares from
 extended-precision arithmetic, reservoir trajectories from scalar
 recursions written out longhand, closed-loop forecasts one rollout and
-one step at a time, and cycle densities from an explicit enumeration of
-short cycles.
+one step at a time, memory capacity one delay and one solve at a time, and
+cycle densities from an explicit enumeration of short cycles.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
+
+from esnkit.esn import _DENSE_CUTOFF
 
 
 def charpoly_coeffs(A: np.ndarray) -> np.ndarray:
@@ -136,11 +139,13 @@ def multi_step_errors_longhand(reservoir, readout, states: np.ndarray,
     from evenly spaced anchors of a teacher-forced pass (``states`` over
     ``series``), one rollout and one step at a time.
 
-    The products are the plain matrix-vector ones (dense up to n=512, CSR
-    above), so the library's batched loop must match this bitwise. A
-    rollout whose output leaves [-1e6, 1e6] scores infinity.
+    The products are the plain matrix-vector ones (dense up to
+    ``esn._DENSE_CUTOFF``, CSR above), so the library's batched loop must
+    match this bitwise. A rollout whose output leaves [-1e6, 1e6] scores
+    infinity.
     """
-    W = reservoir.dense() if reservoir.n <= 512 else sp.csr_matrix(reservoir.W)
+    W = (reservoir.dense() if reservoir.n <= _DENSE_CUTOFF
+         else sp.csr_matrix(reservoir.W))
     w_state, w_input = readout.w_out[:-1], readout.w_out[-1]
     starts = np.linspace(start, len(series) - 1 - horizon, anchors).astype(int)
     errors = np.empty(len(starts))
@@ -155,3 +160,28 @@ def multi_step_errors_longhand(reservoir, readout, states: np.ndarray,
             x = np.tanh(W @ x + reservoir.w_in * u + reservoir.w_ofb * y)
         errors[idx] = y - series[t + horizon]
     return errors
+
+
+def memory_capacity_longhand(states: np.ndarray, drive: np.ndarray,
+                             tau_max: int, start: int,
+                             ridge: float) -> np.ndarray:
+    """Per-delay recall, one ridge solve per delay: fit on the first half
+    of rows ``start..T-1``, square the Pearson correlation on the second
+    half, and stop after 5 consecutive delays below 1e-3."""
+    u = np.asarray(drive, dtype=float)
+    design = np.column_stack([states, u])
+    rows = np.arange(start, len(u))
+    tr, te = rows[:len(rows) // 2], rows[len(rows) // 2:]
+    gram = design[tr].T @ design[tr] + ridge * np.eye(design.shape[1])
+    coeffs = []
+    for tau in range(1, tau_max + 1):
+        w = scipy.linalg.solve(gram, design[tr].T @ u[tr - tau],
+                               assume_a="pos")
+        pred = design[te] @ w - np.mean(design[te] @ w)
+        target = u[te - tau] - np.mean(u[te - tau])
+        denom = np.sqrt(np.sum(pred * pred) * np.sum(target * target))
+        coeffs.append(0.0 if denom == 0.0
+                      else (np.sum(pred * target) / denom) ** 2)
+        if len(coeffs) >= 5 and max(coeffs[-5:]) < 1e-3:
+            break
+    return np.asarray(coeffs)

@@ -14,7 +14,11 @@ from esnkit.benchmarks import (
     er_reservoir_for,
     forecast_benchmark,
 )
-from esnkit.esn import score_against_classes, train_class_readouts
+from esnkit.esn import (
+    _DENSE_CUTOFF,
+    score_against_classes,
+    train_class_readouts,
+)
 from esnkit.tasks import (
     gen_synthetic_classification,
     mackey_glass_bundle,
@@ -90,9 +94,10 @@ class TestMultiStepErrors:
         assert n_diverged == 40 if all_diverge else 0 < n_diverged < 40
 
     def test_sparse_reservoir_matches_longhand(self):
-        # n=600 runs the recursion on a CSR matrix, not a dense one
-        res, readout, run = _mackey_glass_rollouts(1, {1: 0.6}, 0.6, n=600)
-        assert res.n > 512
+        # above the cutoff the recursion runs on a CSR matrix, not a dense one
+        res, readout, run = _mackey_glass_rollouts(1, {1: 0.6}, 0.6,
+                                                   n=_DENSE_CUTOFF + 44)
+        assert res.n > _DENSE_CUTOFF
         _assert_matches_longhand(res, readout, run)
 
 

@@ -186,6 +186,24 @@ class TestSparseDrive:
             want[t] = x
         assert_array_equal(run_teacher_forced(res, u).states, want)
 
+    @pytest.mark.parametrize("shape", [(300,), (100, 3)],
+                             ids=["single", "batched"])
+    def test_matches_dense_product(self, rng, shape):
+        # just above the cutoff the CSR product rounds differently from the
+        # dense one that runs below it, but only in the last bits
+        res = gen_er(_DENSE_CUTOFF + 44, 20, seed=4,
+                     normalization=Normalization("spectral_radius", 0.95))
+        u = rng.uniform(-1, 1, shape)
+        feed = u[..., None] * res.w_in
+        Wt = res.dense().T
+        want = np.empty_like(feed)
+        x = np.zeros(feed.shape[1:])
+        for t in range(len(feed)):
+            x = np.tanh(x @ Wt + feed[t])
+            want[t] = x
+        assert_allclose(run_teacher_forced(res, u).states, want,
+                        rtol=0, atol=1e-13)
+
 
 class TestTrainReadout:
     def make_run(self, rng, n=20, T=200):
@@ -221,6 +239,11 @@ class TestTrainReadout:
         with pytest.raises(SingularDesignError, match="ridge"):
             train_readout(run, u, ridge=0.0)
         train_readout(run, u)  # the protocol ridge succeeds
+
+    def test_negative_ridge_rejected(self, rng):
+        run = self.make_run(rng)
+        with pytest.raises(ParameterError, match="ridge"):
+            train_readout(run, run.inputs, ridge=-1.0)
 
     def test_non_finite_target_rejected(self, rng):
         run = self.make_run(rng)

@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from esnkit.errors import ConstantSeriesError, DimensionError, ParameterError
+from esnkit.errors import (
+    ConstantSeriesError,
+    DimensionError,
+    ParameterError,
+    SingularDesignError,
+)
 from esnkit.esn import run_teacher_forced
 from esnkit.metrics import (
     bin_by_lambda,
@@ -14,6 +19,16 @@ from esnkit.metrics import (
     nrmse,
 )
 from esnkit.reservoirs import Normalization, gen_delay_line, gen_er
+from oracles import memory_capacity_longhand
+
+
+def _delayed_copies(drive, length):
+    """States whose column k is the drive delayed by k steps (zero before
+    the start), so delays 1..length-1 are recalled and longer ones not."""
+    X = np.zeros((len(drive), length))
+    for k in range(length):
+        X[k:, k] = drive[:len(drive) - k]
+    return X
 
 
 class TestNrmse:
@@ -98,6 +113,44 @@ class TestMemoryCapacity:
         mixed = memory_capacity_from_states(run.states @ A, drive, tau_max=15,
                                             start=100, ridge=0.0)
         assert_allclose(mixed.per_delay, base.per_delay, atol=1e-6)
+
+    # The delays are solved in chunks of 32; each case puts the early stop
+    # (5 consecutive delays below 1e-3) somewhere else relative to them.
+    @pytest.mark.parametrize("length, tau_max, used", [
+        (10, 100, 14),  # the stop falls inside the first chunk
+        (30, 100, 34),  # delays 30..34 fall short, across the 32/33 boundary
+        (25, 20, 20),   # tau_max below the chunk, no stop
+    ], ids=["stop-in-first-chunk", "stop-straddles-chunks", "short-tau-max"])
+    def test_chunked_solve_matches_per_delay_longhand(self, length, tau_max,
+                                                       used):
+        drive = np.random.default_rng(0).uniform(-1, 1, 8000)
+        states = _delayed_copies(drive, length)
+        profile = memory_capacity_from_states(states, drive, tau_max,
+                                              start=100)
+        want = memory_capacity_longhand(states, drive, tau_max, 100, 1e-8)
+        assert profile.tau_max_used == len(want) == used
+        assert_allclose(profile.per_delay, want, rtol=0, atol=1e-12)
+
+    def test_chunked_solve_without_early_stop(self):
+        # a 50-node delay line recalls all 45 delays, and 45 is not a
+        # multiple of the chunk
+        res = gen_delay_line(50, 0.98, input_gain=0.1)
+        drive = np.random.default_rng(3).uniform(-1, 1, 3000)
+        states = run_teacher_forced(res, drive).states
+        profile = memory_capacity_from_states(states, drive, 45, start=100)
+        want = memory_capacity_longhand(states, drive, 45, 100, 1e-8)
+        assert profile.tau_max_used == len(want) == 45
+        assert_allclose(profile.per_delay, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("ridge, error", [(0.0, SingularDesignError),
+                                              (-1.0, ParameterError)])
+    def test_bad_ridge_raises_toolkit_error(self, rng, ridge, error):
+        # a dead neuron leaves the unpenalized Gram matrix singular
+        states = rng.standard_normal((400, 5))
+        states[:, 2] = 0.0
+        drive = rng.uniform(-1, 1, 400)
+        with pytest.raises(error, match="ridge"):
+            memory_capacity_from_states(states, drive, 10, ridge=ridge)
 
 
 class TestNeuronCorrelation:
