@@ -24,10 +24,14 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import GenerationError, NumericError, ParameterError
-from .reservoirs import (_check_config, _normalization_from_config,
-                         gen_cycle_enhanced)
+from .reservoirs import Normalization, gen_combined
 from .signals import (_MIN_SAMPLES, _RESPONSE_WASHOUT, periodogram,
                       reservoir_response)
+from .tasks import TaskBundle
+# Last: imported first, it loads scipy.linalg, and so starts OpenBLAS's
+# threads, before scipy.sparse, which made ``import esnkit`` about 10%
+# slower on 2 vCPUs.
+from .benchmarks import cycle_reservoir_for, protocol_fields
 
 __all__ = [
     "ResponseTable",
@@ -116,18 +120,18 @@ class AdaptationResult:
     fallback: bool = False
 
 
-def build_response_table(gen_params: Mapping, lengths: Sequence[int] = (1, 2, 3),
+def build_response_table(bundle: TaskBundle, *, mean_modulus: float,
+                         lengths: Sequence[int] = (1, 2, 3),
                          density_grid: Sequence[float] = DEFAULT_DENSITY_GRID,
-                         n_instances: int = 10, seed: int = 0, *,
+                         n_instances: int = 10, seed: int = 0,
                          T: int = 1024, match: tuple[float, float] = (0.0, 1.0),
                          cache_dir=None) -> ResponseTable:
     """Average white-noise responses of freshly generated reservoirs over a
     (length, density) grid.
 
-    ``gen_params`` holds the arguments of :func:`gen_cycle_enhanced` but
-    ``length``, ``cycle_density`` and ``seed``, which the grid supplies;
-    ``normalization`` may be a mode/value mapping. Tables are cached to
-    ``cache_dir`` keyed by a hash of all parameters.
+    Each instance is built by :func:`cycle_reservoir_for` from the bundle at
+    ``mean_modulus``, as the validation's reservoirs are. Tables are cached
+    to ``cache_dir`` keyed by a hash of all parameters.
     """
     if n_instances < 1:
         raise ParameterError("n_instances must be >= 1")
@@ -140,18 +144,15 @@ def build_response_table(gen_params: Mapping, lengths: Sequence[int] = (1, 2, 3)
         raise ParameterError("'lengths' and 'density_grid' must not be empty")
     if not all(abs(r) <= 1 for r in grid):
         raise ParameterError("density grid must lie within [-1, 1]")
-    params = dict(gen_params)
-    normalization = _normalization_from_config(params.pop("normalization", None))
-    _check_config(gen_cycle_enhanced, "'gen_params'", params,
-                  supplied=("length", "cycle_density", "seed"))
+    normalization = Normalization("avg_modulus", float(mean_modulus))
 
     cache_key = None
     if cache_dir is not None:
+        fields = protocol_fields(bundle, gen_combined)
         payload = json.dumps(
             {"format": _TABLE_FORMAT,
-             "gen_params": {k: params[k] for k in sorted(params)},
-             "normalization": None if normalization is None else
-             [normalization.mode, normalization.value],
+             "gen_params": {k: fields[k] for k in sorted(fields)},
+             "normalization": [normalization.mode, normalization.value],
              "lengths": lengths, "grid": grid, "n_instances": n_instances,
              "seed": seed, "n_trials": _TRIALS, "T": T, "match": match,
              "washout": _RESPONSE_WASHOUT},
@@ -170,10 +171,9 @@ def build_response_table(gen_params: Mapping, lengths: Sequence[int] = (1, 2, 3)
             total = None
             for inst in range(n_instances):
                 try:
-                    res = gen_cycle_enhanced(
-                        length=length, cycle_density=density,
-                        seed=[seed, length, g_idx, inst],
-                        normalization=normalization, **params)
+                    res = cycle_reservoir_for(
+                        bundle, {length: density}, [seed, length, g_idx, inst],
+                        mean_modulus=normalization.value)
                     # perfbench counts trials from the n_trials keyword.
                     profile = reservoir_response(res, n_trials=_TRIALS, T=T,
                                                  seed=[seed, length, g_idx, inst],

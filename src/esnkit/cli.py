@@ -44,8 +44,7 @@ from .errors import (
     ParameterError,
 )
 from .metrics import bin_by_lambda, memory_capacity
-from .reservoirs import (_builder, _call_with_config,
-                         _normalization_from_config, gen_cycle_enhanced,
+from .reservoirs import (Normalization, _builder, _call_with_config,
                          make_reservoir)
 from .signals import _MIN_SAMPLES, periodogram, reservoir_response
 from .spectral import spectrum_report
@@ -194,7 +193,8 @@ def reservoir_from_config(cfg: dict, seed):
     family = cfg.pop("family", "ER")
     norm = cfg.pop("normalization", None)
     if norm is not None:
-        cfg["normalization"] = _normalization_from_config(norm)
+        cfg["normalization"] = _call_with_config(Normalization,
+                                                 "'normalization'", norm)
     if "seed" in inspect.signature(_builder(family)).parameters:
         cfg["seed"] = seed
     return make_reservoir(family, **cfg)
@@ -476,13 +476,10 @@ def cmd_adapt(args, outdir: Path, cfg: dict, *, task: dict,
     if signal is None:
         signal = np.asarray(bundle.train, dtype=float)
 
-    # The same task fields and normalization as the validation's reservoirs.
-    gen_params = dict(protocol_fields(bundle, gen_cycle_enhanced),
-                      normalization={"mode": "avg_modulus",
-                                     "value": float(mean_modulus)})
     table = build_response_table(
-        gen_params, lengths=lengths, density_grid=density_grid,
-        n_instances=n_instances, seed=table_seed, T=response_samples,
+        bundle, mean_modulus=mean_modulus, lengths=lengths,
+        density_grid=density_grid, n_instances=n_instances, seed=table_seed,
+        T=response_samples,
         match=(float(np.mean(signal)), float(np.var(signal))),
         cache_dir=args.cache_dir or None)
     matched = match_signal(table, signal)
@@ -529,7 +526,7 @@ def cmd_verify(args) -> int:
         problems.append("config hash mismatch")
     for name, digest in outputs.items():
         path = outdir / name
-        if not path.exists():
+        if not path.is_file():
             problems.append(f"missing output file {name}")
         elif _file_sha256(path) != digest:
             problems.append(f"checksum mismatch for {name}")
@@ -609,8 +606,8 @@ def main(argv=None) -> int:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
-        print(json.dumps({"error": "FileNotFoundError", "message": str(exc)}),
+    except OSError as exc:
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 3
 

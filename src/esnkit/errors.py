@@ -68,5 +68,6 @@ class GenerationError(NumericError):
 class SingularDesignError(NumericError):
     """The regression design matrix is rank deficient.
 
-    Raised only for unregularized fits; a nonzero ridge always succeeds.
+    A ridge too small against the design's scale does not prevent it: the
+    rounding of a large Gram matrix can exceed the ridge.
     """

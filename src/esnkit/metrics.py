@@ -104,8 +104,14 @@ def _ridge_factor(design: np.ndarray, ridge: float):
     try:
         return scipy.linalg.cho_factor(gram, check_finite=False)
     except np.linalg.LinAlgError as err:
+        if ridge == 0:
+            advice = "supply a nonzero ridge"
+        else:
+            advice = (f"ridge {ridge:g} is too small for a largest Gram "
+                      f"diagonal entry of {gram.diagonal().max():.3g}; use a "
+                      "larger ridge or rescale the features")
         raise SingularDesignError(
-            "design matrix is rank deficient; supply a nonzero ridge") from err
+            f"design matrix is rank deficient; {advice}") from err
 
 
 def memory_capacity_from_states(states: np.ndarray, drive: np.ndarray,

@@ -75,14 +75,6 @@ class Normalization:
             raise ParameterError("normalization value must be positive")
 
 
-def _normalization_from_config(norm):
-    """A ``Normalization`` from a config's ``{"mode", "value"}`` mapping;
-    ``None`` and ``Normalization`` instances pass through unchanged."""
-    if norm is None or isinstance(norm, Normalization):
-        return norm
-    return _call_with_config(Normalization, "'normalization'", norm)
-
-
 RADIUS_ONE = Normalization("spectral_radius", 1.0)
 #: Post-construction mean-modulus target used when callers do not supply one.
 DEFAULT_CYCLE_NORMALIZATION = Normalization("avg_modulus", 0.6)
@@ -459,6 +451,9 @@ def gen_combined(n: int, connectivity: float,
     for length, r in cycle_density.items():
         if length < 1:
             raise ParameterError("cycle lengths must be >= 1")
+        if length > n:
+            raise ParameterError(f"cycle length {length} exceeds the {n} "
+                                 "nodes of the reservoir")
         if not abs(r) <= 1:
             raise ParameterError("cycle densities must lie in [-1, 1]")
     if sum(abs(r) for r in cycle_density.values()) > 1 + 1e-9:
@@ -599,20 +594,15 @@ def make_reservoir(family: str, **kwargs) -> Reservoir:
     return _call_with_config(_builder(family), f"{family} reservoir", kwargs)
 
 
-def _check_config(builder, section: str, cfg: Mapping,
-                  supplied: Sequence[str] = ()) -> None:
-    """Check ``cfg`` as the keyword arguments of ``builder``, whose
-    ``supplied`` parameters the caller passes itself: a key of ``supplied``,
+def _call_with_config(builder, section: str, cfg: Mapping):
+    """``builder(**cfg)``, once ``cfg`` is checked as its keyword arguments:
     an unknown or missing key, or a value that does not fit its parameter's
-    annotation is a ``ParameterError`` naming the section and the key."""
+    annotation, is a ``ParameterError`` naming the section and the key."""
     if not isinstance(cfg, Mapping):
         raise ParameterError(f"{section} config must be a mapping, got {cfg!r}")
     signature = inspect.signature(builder)
-    for key in supplied:
-        if key in cfg:
-            raise ParameterError(f"{section} config: {key!r} may not be set")
     try:
-        signature.bind(**dict.fromkeys(supplied), **cfg)
+        signature.bind(**cfg)
     except TypeError as exc:
         raise ParameterError(f"{section} config: {exc}") from None
     for key, value in cfg.items():
@@ -620,11 +610,6 @@ def _check_config(builder, section: str, cfg: Mapping,
         if not _fits(kind, value):
             raise ParameterError(
                 f"{section} config: {key!r} must be {kind}, got {value!r}")
-
-
-def _call_with_config(builder, section: str, cfg: Mapping):
-    """``builder(**cfg)`` once :func:`_check_config` has passed ``cfg``."""
-    _check_config(builder, section, cfg)
     return builder(**cfg)
 
 

@@ -297,10 +297,9 @@ def test_ac10_combination_never_regresses():
     least as well (median over 50 seeds) as the best single-length
     configuration, unless the fallback flag is set."""
     bundle = mg_bundle(0)
-    table = build_response_table(
-        {"n": 100, "connectivity": 0.2,
-         "normalization": {"mode": "avg_modulus", "value": MG_MEAN_MODULUS}},
-        lengths=(1, 2, 3), n_instances=10, seed=11, T=1024)
+    table = build_response_table(bundle, mean_modulus=MG_MEAN_MODULUS,
+                                 lengths=(1, 2, 3), n_instances=10, seed=11,
+                                 T=1024)
     matched = match_signal(table, bundle.train)
     evaluate = cycle_evaluator(bundle, mean_modulus=MG_MEAN_MODULUS)
     n_seeds = 50

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from esnkit import adapt, reservoirs
+from esnkit import adapt, benchmarks
 from esnkit.adapt import (
     AdaptationResult,
     ResponseTable,
@@ -14,15 +14,22 @@ from esnkit.adapt import (
     validate_and_combine,
 )
 from esnkit.errors import ParameterError
+from esnkit.tasks import mackey_glass_bundle
 
-GEN = {"n": 80, "connectivity": 0.2,
-       "normalization": {"mode": "avg_modulus", "value": 0.55}}
+# n=80 at connectivity 0.2, with output feedback.
+BUNDLE = mackey_glass_bundle(seed=0, length=300, horizon=5, washout=50,
+                             n_neurons=80, avg_degree=8.0)
+MEAN_MODULUS = 0.55
+
+
+def table_for(bundle=BUNDLE, **kwargs):
+    return build_response_table(bundle, mean_modulus=MEAN_MODULUS, **kwargs)
 
 
 @pytest.fixture(scope="module")
 def small_table():
-    return build_response_table(GEN, lengths=(1, 2), density_grid=(-0.5, 0.0, 0.5),
-                                n_instances=3, seed=7, T=256)
+    return table_for(lengths=(1, 2), density_grid=(-0.5, 0.0, 0.5),
+                     n_instances=3, seed=7, T=256)
 
 
 def synthetic_table(profiles):
@@ -71,14 +78,12 @@ class TestBuildResponseTable:
         assert_array_equal(loaded.power, small_table.power)
 
     def test_cache_round_trip(self, tmp_path):
-        a = build_response_table(GEN, lengths=(1,), density_grid=(0.0, 0.5),
-                                 n_instances=2, seed=3, T=128,
-                                 cache_dir=tmp_path)
+        a = table_for(lengths=(1,), density_grid=(0.0, 0.5), n_instances=2,
+                      seed=3, T=128, cache_dir=tmp_path)
         cached_dirs = list(tmp_path.glob("response_table_*"))
         assert len(cached_dirs) == 1
-        b = build_response_table(GEN, lengths=(1,), density_grid=(0.0, 0.5),
-                                 n_instances=2, seed=3, T=128,
-                                 cache_dir=tmp_path)
+        b = table_for(lengths=(1,), density_grid=(0.0, 0.5), n_instances=2,
+                      seed=3, T=128, cache_dir=tmp_path)
         assert (b.lengths, b.density_grid) == (a.lengths, a.density_grid)
         assert_array_equal(b.freqs, a.freqs)
         assert_array_equal(b.power, a.power)
@@ -90,11 +95,11 @@ class TestBuildResponseTable:
         ``table.npz``."""
         kwargs = dict(lengths=(1,), density_grid=(0.0, 0.5), n_instances=2,
                       seed=3, T=128)
-        fresh = build_response_table(GEN, **kwargs)
-        build_response_table(GEN, **kwargs, cache_dir=cache_dir)
+        fresh = table_for(**kwargs)
+        table_for(**kwargs, cache_dir=cache_dir)
         (cached,) = cache_dir.glob("response_table_*")
         damage(cached)
-        rebuilt = build_response_table(GEN, **kwargs, cache_dir=cache_dir)
+        rebuilt = table_for(**kwargs, cache_dir=cache_dir)
         assert_array_equal(rebuilt.power, fresh.power)
         assert list(cache_dir.iterdir()) == [cached]
         assert [f.name for f in cached.iterdir()] == ["table.npz"]
@@ -151,9 +156,9 @@ class TestBuildResponseTable:
                       seed=3, T=128, cache_dir=tmp_path)
         with monkeypatch.context() as m:
             m.setattr(adapt, "_TABLE_FORMAT", adapt._TABLE_FORMAT + 1)
-            build_response_table(GEN, **kwargs)
+            table_for(**kwargs)
         (other,) = tmp_path.glob("response_table_*")
-        build_response_table(GEN, **kwargs)
+        table_for(**kwargs)
         tables = sorted(tmp_path.glob("response_table_*"))
         assert len(tables) == 2 and other in tables
 
@@ -169,15 +174,9 @@ class TestBuildResponseTable:
             small_table.save(tmp_path / "table")
         assert list(tmp_path.iterdir()) == []
 
-    def test_normalization_without_value_rejected(self):
-        gen = dict(GEN, normalization={"mode": "avg_modulus"})
-        with pytest.raises(ParameterError, match="value"):
-            build_response_table(gen, lengths=(1,), density_grid=(0.0,),
-                                 n_instances=1, T=128)
-
     def test_grid_validation(self):
         with pytest.raises(ParameterError):
-            build_response_table(GEN, density_grid=(0.0, 1.5), n_instances=1)
+            table_for(density_grid=(0.0, 1.5), n_instances=1)
 
     @pytest.mark.parametrize("field", ["lengths", "density_grid"])
     def test_empty_grid_rejected_before_cache(self, tmp_path, monkeypatch,
@@ -187,49 +186,43 @@ class TestBuildResponseTable:
 
         monkeypatch.setattr(adapt.ResponseTable, "load", no_cache)
         with pytest.raises(ParameterError, match="must not be empty"):
-            build_response_table(GEN, **{field: ()}, n_instances=1, T=128,
-                                 cache_dir=tmp_path)
+            table_for(**{field: ()}, n_instances=1, T=128, cache_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
 
     def test_nan_grid_rejected(self):
         with pytest.raises(ParameterError):
-            build_response_table(GEN, density_grid=(float("nan"),),
-                                 n_instances=1)
+            table_for(density_grid=(float("nan"),), n_instances=1)
 
-    @pytest.mark.parametrize("extra, key", [
-        ({"l1mode": "edge_count"}, "l1mode"),
-        ({"n": "x"}, "n"),
-        ({"connectivity": None}, "connectivity"),
-        ({"seed": 3}, "seed"),
-    ], ids=["unknown_key", "string_n", "null_connectivity", "sets_seed"])
-    def test_gen_params_checked_before_table_work(self, tmp_path,
-                                                  monkeypatch, extra, key):
+    @pytest.mark.parametrize("mean_modulus", [0, -0.5])
+    def test_mean_modulus_checked_before_table_work(self, tmp_path,
+                                                    monkeypatch, mean_modulus):
         def no_table_work(*args, **kwargs):
-            raise AssertionError("table work before the gen_params check")
+            raise AssertionError("table work before the mean_modulus check")
 
-        monkeypatch.setattr(reservoirs, "gen_combined", no_table_work)
+        monkeypatch.setattr(benchmarks, "gen_combined", no_table_work)
         monkeypatch.setattr(adapt.ResponseTable, "load", no_table_work)
-        with pytest.raises(ParameterError, match=f"'gen_params'.*'{key}'"):
-            build_response_table(dict(GEN, **extra), lengths=(1,),
-                                 density_grid=(0.0,), n_instances=1, T=128,
-                                 cache_dir=tmp_path)
+        with pytest.raises(ParameterError, match="normalization value"):
+            build_response_table(BUNDLE, mean_modulus=mean_modulus,
+                                 lengths=(1,), density_grid=(0.0,),
+                                 n_instances=1, T=128, cache_dir=tmp_path)
 
     def test_feedback_leaves_the_response_unchanged(self):
         # The noise drive has no readout to feed back, and the feedback
         # weights are drawn after everything else.
-        tables = [build_response_table(dict(GEN, n=20, feedback=feedback),
-                                       lengths=(1, 2), density_grid=(-0.5, 0.5),
-                                       n_instances=2, T=64)
-                  for feedback in (False, True)]
+        bundles = [dataclasses.replace(BUNDLE, esn_defaults=dataclasses.replace(
+            BUNDLE.esn_defaults, n=20, avg_degree=2.0, feedback=feedback))
+            for feedback in (False, True)]
+        tables = [table_for(bundle, lengths=(1, 2), density_grid=(-0.5, 0.5),
+                            n_instances=2, T=64) for bundle in bundles]
         assert_array_equal(tables[0].power, tables[1].power)
 
     def test_cache_key_is_stable(self, tmp_path):
         # The key hashes the parameters only; a change to it orphans every
         # cached table.
-        build_response_table(GEN, lengths=(1,), density_grid=(0.0, 0.5),
-                             n_instances=2, seed=3, T=128, cache_dir=tmp_path)
+        table_for(lengths=(1,), density_grid=(0.0, 0.5), n_instances=2, seed=3,
+                  T=128, cache_dir=tmp_path)
         assert [d.name for d in tmp_path.iterdir()] == [
-            "response_table_af0f02acac8378c5"]
+            "response_table_eb50a7256d98fd78"]
 
 
 class TestMatchSignal:

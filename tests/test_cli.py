@@ -145,9 +145,12 @@ class TestErrors:
           "max_rounds": 100}, "max_rounds"),
         ({"family": "SF", "n": 9, "avg_degree": 0.05, "gamma": 3.0},
          "avg_degree"),
+        ({"family": "CYCLE", "n": 20, "connectivity": 1.0,
+          "cycle_density": {"21": 0.9}}, "cycle length 21 exceeds the 20"),
     ], ids=["cycle_density_key", "normalization_value", "normalization_string",
             "string_n", "int_family", "string_feedback", "bool_norm_value",
-            "single_node_er", "sf_max_rounds", "sf_degrees_round_to_zero"])
+            "single_node_er", "sf_max_rounds", "sf_degrees_round_to_zero",
+            "cycle_longer_than_n"])
     def test_malformed_reservoir_value(self, tmp_path, capsys, reservoir, key):
         cfg = write_config(tmp_path, "g.json", {"reservoir": reservoir})
         assert run_cli("generate", "-c", cfg, "-o", tmp_path / "o") == 2
@@ -595,6 +598,34 @@ class TestErrors:
         (tmp_path / "manifest.json").mkdir()
         assert run_cli("verify", tmp_path) == 3
         assert self.single_error_line(capsys)["error"] == "DataError"
+
+    @pytest.mark.parametrize("command", [
+        ["psd", "--input", "{dir}"],
+        ["psd", "--reservoir", "{dir}"],
+        ["spectrum", "{dir}"],
+        ["adapt", "-c", "{cfg}", "--signal", "{dir}"],
+    ], ids=["psd_input", "psd_reservoir", "spectrum", "adapt_signal"])
+    def test_input_path_is_a_directory(self, tmp_path, capsys, command):
+        directory = tmp_path / "input.json"
+        directory.mkdir()
+        cfg = write_config(tmp_path, "a.json", {
+            "task": {"name": "sine-mixture", "seed": 3}, "lengths": [1],
+            "density_grid": [0.0], "n_instances": 1, "n_seeds": 1})
+        args = [a.format(dir=directory, cfg=cfg) for a in command]
+        assert run_cli(*args, "-o", tmp_path / "o") == 3
+        assert self.single_error_line(capsys)["error"] == "IsADirectoryError"
+
+    def test_manifest_output_is_a_directory(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "gen.json", {
+            "reservoir": {"family": "ER", "n": 10, "avg_degree": 2, "seed": 1}})
+        out = tmp_path / "out"
+        assert run_cli("generate", "-c", cfg, "-o", out) == 0
+        (out / "reservoir.mtx").unlink()
+        (out / "reservoir.mtx").mkdir()
+        assert run_cli("verify", out) == 2
+        err = self.single_error_line(capsys)
+        assert err["error"] == "ConfigError"
+        assert err["message"] == "missing output file reservoir.mtx"
 
 
 _ABSENT = object()

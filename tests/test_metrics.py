@@ -152,6 +152,18 @@ class TestMemoryCapacity:
         with pytest.raises(error, match="ridge"):
             memory_capacity_from_states(states, drive, 10, ridge=ridge)
 
+    def test_too_small_ridge_names_the_ridge(self):
+        # At a Gram scale of 1e10 the rounding of the dependent columns
+        # exceeds the default ridge, so the factorization fails anyway.
+        rng = np.random.default_rng(0)
+        states = rng.standard_normal((400, 5)) * 1e4
+        states[:, 4] = 3 * states[:, 0]
+        drive = rng.standard_normal(400)
+        with pytest.raises(SingularDesignError) as info:
+            memory_capacity_from_states(states, drive, 10)
+        assert "1e-08" in str(info.value)
+        assert "nonzero ridge" not in str(info.value)
+
 
 class TestNeuronCorrelation:
     def test_identical_columns(self, rng):

@@ -18,6 +18,15 @@ from esnkit.tasks import gen_synthetic_classification, mackey_glass_bundle
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
+# n=10 at connectivity 0.3.
+TABLE_BUNDLE = mackey_glass_bundle(seed=0, length=300, horizon=5, washout=50,
+                                   n_neurons=10, avg_degree=1.5)
+
+
+def small_table(**kwargs):
+    return build_response_table(TABLE_BUNDLE, mean_modulus=0.6, lengths=(1, 2),
+                                density_grid=(0.0, 0.5), T=32, **kwargs)
+
 
 @pytest.fixture
 def tracing(monkeypatch):
@@ -49,9 +58,7 @@ def test_table_cache_layout(tracing, tmp_path):
     # under a ``response_table_*`` directory of the cache.
     kwargs = {"cache_dir": tmp_path}
     before = tracing._table_before((), kwargs)
-    table = build_response_table({"n": 10, "connectivity": 0.3},
-                                 lengths=(1, 2), density_grid=(0.0, 0.5),
-                                 n_instances=1, T=32, cache_dir=tmp_path)
+    table = small_table(n_instances=1, cache_dir=tmp_path)
     sizes = tracing._response_table_dirs(tmp_path)
     assert len(sizes) == 1 and list(sizes.values())[0] > 0
     counts = tracing._table_counts((), kwargs, table, before)
@@ -64,8 +71,7 @@ def test_table_trials_read_by_tracer(tracing):
     # keyword and assumes the default, 10, without it: a table build must
     # pass its one trial per instance by keyword.
     with tracing.Tracer() as tracer:
-        build_response_table({"n": 10, "connectivity": 0.3}, lengths=(1, 2),
-                             density_grid=(0.0, 0.5), n_instances=2, T=32)
+        small_table(n_instances=2)
     assert tracing.layer_stats(tracer.spans)["signals.response_trials"] == 8
 
 
@@ -80,14 +86,15 @@ def test_tracer_sees_every_loop(tracing):
     with tracing.Tracer() as tracer:
         benchmarks.classification_benchmark(classes, res)
         benchmarks.forecast_benchmark(mg, res)
-        build_response_table({"n": n, "connectivity": 0.3}, lengths=(1, 2),
-                             density_grid=(0.0, 0.5), n_instances=1, T=32)
+        small_table(n_instances=1)
         cli.task_from_config({"name": "synthetic-classification",
                               "n_classes": 2, "per_class": 2, "length": 16})
     stats = tracing.layer_stats(tracer.spans)
     assert stats["esn.runs"] > 0
     assert stats["esn.free_runs"] > 0
     assert stats["tasks.bundle_s"] > 0
+    # gen_er above runs untraced; the four table points each generate one.
+    assert stats["reservoirs.generated"] == 4
     # Both classes' training batches and one test batch; the train and
     # test series of Mackey-Glass; four table points of 100 + 32 steps.
     assert stats["esn.neuron_steps"] == n * (16 * (3 + 3 + 4) + 2 * 300
