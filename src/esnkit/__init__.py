@@ -11,13 +11,11 @@ from .benchmarks import benchmark, classification_benchmark, forecast_benchmark
 from .errors import EsnKitError
 from .esn import (
     EsnRun,
-    TrainedReadout,
     forecast_free_run,
     run_teacher_forced,
     train_readout,
 )
 from .metrics import (
-    CorrelationStat,
     MemoryProfile,
     bin_by_lambda,
     mean_squared_correlation,

@@ -130,8 +130,9 @@ def build_response_table(bundle: TaskBundle, *, mean_modulus: float,
     (length, density) grid.
 
     Each instance is built by :func:`cycle_reservoir_for` from the bundle at
-    ``mean_modulus``, as the validation's reservoirs are. Tables are cached
-    to ``cache_dir`` keyed by a hash of all parameters.
+    ``mean_modulus``, as the validation's reservoirs are; a nonzero density
+    whose cycle count floors to zero is a ``ParameterError``. Tables are
+    cached to ``cache_dir`` keyed by a hash of all parameters.
     """
     if n_instances < 1:
         raise ParameterError("n_instances must be >= 1")
@@ -174,6 +175,10 @@ def build_response_table(bundle: TaskBundle, *, mean_modulus: float,
                     res = cycle_reservoir_for(
                         bundle, {length: density}, [seed, length, g_idx, inst],
                         mean_modulus=normalization.value)
+                    if res.meta.params["cycle_counts"].get(length) == 0:
+                        raise ParameterError(
+                            f"density {density} places no cycle of length "
+                            f"{length} in the task's n={res.n} reservoir")
                     # perfbench counts trials from the n_trials keyword.
                     profile = reservoir_response(res, n_trials=_TRIALS, T=T,
                                                  seed=[seed, length, g_idx, inst],
@@ -276,29 +281,27 @@ def _candidate_combinations(selected: Mapping[int, float],
 
 def validate_and_combine(result: AdaptationResult,
                          evaluate: Callable[[dict[int, float], Sequence[int]], Sequence[float]],
-                         baseline_performance: Sequence[float] | float,
                          n_seeds: int = 20, *,
                          seed_base: int = 0) -> AdaptationResult:
     """Benchmark-validate the matched densities, then pick a combination.
 
     ``evaluate(config, seeds)`` must return per-seed performance scores
     (lower is better) for reservoirs built with the given cycle densities.
+    The zero-cycle baseline ``evaluate({}, seeds)`` is scored first, on the
+    seeds ``[seed_base, i]`` that every candidate is scored on.
 
     Lengths whose matched density performs worse (median) than the
-    zero-cycle baseline are dropped; if none survive, the baseline
-    configuration is returned with ``fallback`` set. Multi-length
-    combinations are assembled from the surviving validated choices under
-    an L1 budget of 1 and tried in decreasing order of their summed
-    spectral-match score; the first whose benchmark median is at least as
-    good as the best single-length configuration wins. When no combination
-    qualifies, the best single-length configuration is returned (it is the
-    degenerate combination). Deterministic given (result, evaluate, seeds).
+    baseline are dropped; if none survive, the baseline configuration is
+    returned with ``fallback`` set. Multi-length combinations are assembled
+    from the surviving validated choices under an L1 budget of 1 and tried
+    in decreasing order of their summed spectral-match score; the first
+    whose benchmark median is at least as good as the best single-length
+    configuration wins. When no combination qualifies, the best
+    single-length configuration is returned (it is the degenerate
+    combination). Deterministic given (result, evaluate, seeds).
     """
     seeds = [[seed_base, i] for i in range(n_seeds)]
-    if np.isscalar(baseline_performance):
-        baseline_median = float(baseline_performance)
-    else:
-        baseline_median = float(np.median(baseline_performance))
+    baseline_median = float(np.median(evaluate({}, seeds)))
 
     medians: dict[str, float] = {}
 
@@ -323,29 +326,25 @@ def validate_and_combine(result: AdaptationResult,
         else:
             survivors.append(length)
 
-    if not survivors:
-        return AdaptationResult(
-            selected=result.selected, scores=result.scores, rejected=rejected,
-            single_length_medians=single_medians,
-            baseline_median=baseline_median, combined={}, combined_score=0.0,
-            combined_median=baseline_median, candidate_medians=medians,
-            fallback=True)
-
-    best_single = min(survivors, key=lambda length: single_medians[length])
-    combined = {best_single: result.selected[best_single]}
-    combined_median = single_medians[best_single]
-    candidates = _candidate_combinations(result.selected, survivors)
-    candidates.sort(key=lambda c: -_summed_score(result.scores, c))
-    for combo in candidates:
-        med = evaluated(combo)
-        if med <= combined_median:
-            combined = combo
-            combined_median = med
-            break
+    combined: dict[int, float] = {}
+    combined_median = baseline_median
+    if survivors:
+        best_single = min(survivors, key=lambda length: single_medians[length])
+        combined = {best_single: result.selected[best_single]}
+        combined_median = single_medians[best_single]
+        candidates = _candidate_combinations(result.selected, survivors)
+        candidates.sort(key=lambda c: -_summed_score(result.scores, c))
+        for combo in candidates:
+            med = evaluated(combo)
+            if med <= combined_median:
+                combined = combo
+                combined_median = med
+                break
 
     return AdaptationResult(
         selected=result.selected, scores=result.scores, rejected=rejected,
         single_length_medians=single_medians, baseline_median=baseline_median,
-        combined=combined, combined_score=_summed_score(result.scores, combined),
-        combined_median=combined_median, candidate_medians=medians,
-        fallback=False)
+        combined=combined, combined_median=combined_median,
+        combined_score=(_summed_score(result.scores, combined)
+                        if survivors else 0.0),
+        candidate_medians=medians, fallback=not survivors)

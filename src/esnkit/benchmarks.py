@@ -10,7 +10,6 @@ import inspect
 import numpy as np
 
 from .esn import (
-    TrainedReadout,
     forecast_free_run,
     run_teacher_forced,
     score_against_classes,
@@ -51,18 +50,18 @@ def _trained_pass(reservoir: Reservoir, bundle: TaskBundle,
     training series, and the next-step readout fitted on the training rows."""
     run = _next_step_run(reservoir, series, bundle.washout)
     rows = slice(bundle.washout, len(bundle.train) - 1)
-    return run, TrainedReadout(solve_ridge(run.design_matrix()[rows],
-                                           run.inputs[1:][rows], RIDGE))
+    return run, solve_ridge(run.design_matrix()[rows], run.inputs[1:][rows],
+                            RIDGE)
 
 
-def _multi_step_errors(reservoir: Reservoir, readout, run, start: int,
+def _multi_step_errors(reservoir: Reservoir, w_out, run, start: int,
                        horizon: int) -> np.ndarray:
     """Closed-loop errors at the final step of ``horizon``-step rollouts
     started from 40 evenly spaced anchors of a teacher-forced ``run``, from
     ``start`` on; a diverged rollout's error is infinite."""
     series = run.inputs
     starts = np.linspace(start, len(series) - 1 - horizon, 40).astype(int)
-    ys = forecast_free_run(reservoir, readout, run.states[starts],
+    ys = forecast_free_run(reservoir, w_out, run.states[starts],
                            series[starts], horizon)
     return ys[:, -1] - series[starts + horizon]
 
@@ -87,7 +86,7 @@ def forecast_benchmark(bundle: TaskBundle, reservoir: Reservoir) -> float:
 
     if horizon == 1:
         rows = slice(start, len(series) - 1)
-        pred = run.design_matrix()[rows] @ readout.w_out
+        pred = run.design_matrix()[rows] @ readout
         return nrmse(pred, series[start + 1:], series[rows])
     errors = _multi_step_errors(reservoir, readout, run, start, horizon)
     return float(np.sqrt(np.mean(errors ** 2) / np.var(series[start:])))

@@ -200,6 +200,15 @@ def reservoir_from_config(cfg: dict, seed):
     return make_reservoir(family, **cfg)
 
 
+def _no_member_seed(res_cfg: dict) -> None:
+    """A config error for a reservoir ``seed`` in a command that seeds every
+    member from ``seed_base``, which would overwrite it unseen."""
+    if "seed" in res_cfg:
+        raise ParameterError("reservoir config: 'seed' is not used by this "
+                             "command; each member is seeded from "
+                             "'seed_base'")
+
+
 def _mean_modulus(reservoir) -> float:
     """Mean eigenvalue modulus, from the spectrum the reservoir carries."""
     return float(np.mean(np.abs(reservoir.eigenvalues())))
@@ -278,6 +287,7 @@ def cmd_memory(args, outdir: Path, cfg: dict, *, reservoir: dict,
                tau_max: int | None = None,
                input_kind: str = "uniform") -> list[Path]:
     _at_least_one(ensemble=ensemble)
+    _no_member_seed(reservoir)
     chash = config_hash(cfg)
     # Serial on purpose: at n=400 a forked pool of two ran the members 40%
     # faster, but its two children together held 2.3 times the peak RSS.
@@ -431,6 +441,7 @@ def cmd_benchmark(args, outdir: Path, cfg: dict, *, task: dict,
     for sweep_idx, param, value in points:
         res_cfg = (_apply_sweep(base_cfg, param, value)
                    if param is not None else base_cfg)
+        _no_member_seed(res_cfg)
         for member in range(ensemble):
             payloads.append((res_cfg, sweep_idx, value,
                              [seed_base, sweep_idx, member]))
@@ -484,10 +495,9 @@ def cmd_adapt(args, outdir: Path, cfg: dict, *, task: dict,
         cache_dir=args.cache_dir or None)
     matched = match_signal(table, signal)
 
-    evaluate = cycle_evaluator(bundle, mean_modulus=mean_modulus)
-    baseline = evaluate({}, [[seed_base, i] for i in range(n_seeds)])
-    result = validate_and_combine(matched, evaluate, baseline, n_seeds,
-                                  seed_base=seed_base)
+    result = validate_and_combine(
+        matched, cycle_evaluator(bundle, mean_modulus=mean_modulus), n_seeds,
+        seed_base=seed_base)
 
     report = {
         "config_hash": config_hash(cfg),

@@ -26,7 +26,6 @@ from .reservoirs import Reservoir
 
 __all__ = [
     "EsnRun",
-    "TrainedReadout",
     "run_teacher_forced",
     "train_readout",
     "forecast_free_run",
@@ -69,18 +68,19 @@ class EsnRun:
         return np.concatenate([self.states, self.inputs[..., None]], axis=-1)
 
 
-@dataclass
-class TrainedReadout:
-    """Trained readout row vector over N neurons plus the input channel."""
-
-    w_out: np.ndarray
+def _checked_readout(w_out, n: int) -> np.ndarray:
+    """Readout weights over ``[x(t); u(t)]`` as an ``(n+1,)`` float array."""
+    w = np.asarray(w_out, dtype=float)
+    if w.shape != (n + 1,):
+        raise DimensionError(
+            f"readout weights must have shape ({n + 1},), got {w.shape}")
+    return w
 
 
 def _recurrence_operator(reservoir: Reservoir):
-    W = reservoir.W
     if reservoir.n <= _DENSE_CUTOFF:
-        return reservoir.dense()
-    return sp.csr_matrix(W)
+        return reservoir.W.toarray()
+    return sp.csr_matrix(reservoir.W)
 
 
 def _checked_input(inputs, washout: int) -> np.ndarray:
@@ -151,11 +151,11 @@ def solve_ridge(design: np.ndarray, target: np.ndarray, ridge: float) -> np.ndar
 
 
 def train_readout(run: EsnRun, target: np.ndarray,
-                  ridge: float = RIDGE) -> TrainedReadout:
+                  ridge: float = RIDGE) -> np.ndarray:
     """Fit the readout on the post-washout window of a recorded single run.
 
     Minimizes the squared error of ``w . [x(t); u(t)]`` against the target
-    plus ``ridge * ||w||^2``.
+    plus ``ridge * ||w||^2`` and returns the ``(n+1,)`` weights ``w``.
     """
     if run.inputs.ndim != 1:
         raise DimensionError("a readout is trained on a single run, not a batch")
@@ -171,14 +171,15 @@ def train_readout(run: EsnRun, target: np.ndarray,
     if n_rows < n_features + 1:
         raise ParameterError(
             f"need at least {n_features + 1} post-washout samples, have {n_rows}")
-    return TrainedReadout(solve_ridge(run.design_matrix()[lo:], y[lo:], ridge))
+    return solve_ridge(run.design_matrix()[lo:], y[lo:], ridge)
 
 
-def forecast_free_run(reservoir: Reservoir, readout: TrainedReadout,
+def forecast_free_run(reservoir: Reservoir, w_out: np.ndarray,
                       X0: np.ndarray, u0: np.ndarray, horizon: int) -> np.ndarray:
-    """Closed-loop forecasts from a ``(B, n)`` stack of start states and
-    ``(B,)`` start inputs: each output becomes the next input (and the
-    feedback signal). Returns ``(B, horizon)`` outputs. A row that leaves
+    """Closed-loop forecasts of the ``(n+1,)`` readout ``w_out`` from a
+    ``(B, n)`` stack of start states and ``(B,)`` start inputs: each output
+    becomes the next input (and the feedback signal). Returns
+    ``(B, horizon)`` outputs. A row that leaves
     ``[-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT]`` reads ``inf`` from then on and
     its state is zeroed. ``np.matmul`` calls BLAS once per row, so each row
     rounds exactly like a single rollout's ``W @ x`` and ``w @ x``.
@@ -189,8 +190,9 @@ def forecast_free_run(reservoir: Reservoir, readout: TrainedReadout,
     u = np.asarray(u0, dtype=float)
     if X.ndim != 2 or X.shape[1] != reservoir.n or u.shape != X.shape[:1]:
         raise DimensionError("start states must be (B, n) and start inputs (B,)")
+    w = _checked_readout(w_out, reservoir.n)
+    w_state, w_input = w[:-1], w[-1]
     W = _recurrence_operator(reservoir)
-    w_state, w_input = readout.w_out[:-1], readout.w_out[-1]
     ys = np.full((len(X), horizon), np.inf)
     alive = np.ones(len(X), dtype=bool)
     for h in range(horizon):
@@ -226,11 +228,12 @@ def _one_step_blocks(reservoir: Reservoir, recordings: Sequence[np.ndarray],
 
 def train_class_readouts(train_sets: Mapping[int, Sequence[np.ndarray]],
                          reservoir: Reservoir,
-                         washout: int = 5) -> dict[int, TrainedReadout]:
-    """One next-step readout per class, trained on that class's recordings."""
+                         washout: int = 5) -> dict[int, np.ndarray]:
+    """One next-step readout's weights per class, trained on that class's
+    recordings."""
     if len(train_sets) < 2:
         raise ParameterError("need at least two classes")
-    readouts: dict[int, TrainedReadout] = {}
+    readouts: dict[int, np.ndarray] = {}
     n_features = reservoir.n + 1
     for label in sorted(train_sets):
         recordings = train_sets[label]
@@ -243,11 +246,11 @@ def train_class_readouts(train_sets: Mapping[int, Sequence[np.ndarray]],
             raise SingularDesignError(
                 f"class {label!r} has too few training samples "
                 f"({design.shape[0]} rows for {n_features} features)")
-        readouts[label] = TrainedReadout(solve_ridge(design, target, RIDGE))
+        readouts[label] = solve_ridge(design, target, RIDGE)
     return readouts
 
 
-def score_against_classes(readouts: Mapping[int, TrainedReadout],
+def score_against_classes(readouts: Mapping[int, np.ndarray],
                           recordings: Sequence[np.ndarray], reservoir: Reservoir,
                           washout: int = 5) -> list[tuple[int, dict[int, float]]]:
     """Classify each recording with pre-trained per-class readouts.
@@ -257,10 +260,11 @@ def score_against_classes(readouts: Mapping[int, TrainedReadout],
     lowest error (normalized by the recording itself); exact ties go to
     the lowest class label.
     """
+    readouts = {label: _checked_readout(w, reservoir.n)
+                for label, w in readouts.items()}
     results = []
     for design, target in _one_step_blocks(reservoir, recordings, washout):
-        scores = {label: nrmse(design @ readouts[label].w_out, target,
-                               design[:, -1])
+        scores = {label: nrmse(design @ readouts[label], target, design[:, -1])
                   for label in sorted(readouts)}
         results.append((min(scores, key=scores.__getitem__), scores))
     return results

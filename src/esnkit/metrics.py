@@ -26,7 +26,6 @@ from .reservoirs import Reservoir, make_rng
 __all__ = [
     "RIDGE",
     "MemoryProfile",
-    "CorrelationStat",
     "BinStat",
     "nrmse",
     "memory_capacity",
@@ -79,14 +78,6 @@ class MemoryProfile:
     total: float
     tau_max_used: int
     input_kind: str
-
-
-@dataclass
-class CorrelationStat:
-    """Mean squared pairwise correlation between neuron state series."""
-
-    value: float
-    n_neurons: int
 
 
 def _ridge_factor(design: np.ndarray, ridge: float):
@@ -204,7 +195,7 @@ def memory_capacity(reservoir: Reservoir, T: int = 4000,
                                        input_kind=input_kind)
 
 
-def mean_squared_correlation(states: np.ndarray) -> CorrelationStat:
+def mean_squared_correlation(states: np.ndarray) -> float:
     """Average squared Pearson correlation over unordered neuron pairs.
 
     The denominator is ``N * (N - 1) / 2``, i.e. every pair counts once.
@@ -221,8 +212,7 @@ def mean_squared_correlation(states: np.ndarray) -> CorrelationStat:
             f"neuron {int(dead[0])} has constant state; correlation undefined")
     n = X.shape[1]
     P = np.corrcoef(X, rowvar=False)
-    s = (float(np.sum(P * P)) - n) / (n * (n - 1))
-    return CorrelationStat(value=s, n_neurons=n)
+    return (float(np.sum(P * P)) - n) / (n * (n - 1))
 
 
 @dataclass

@@ -119,9 +119,6 @@ class Reservoir:
             self._spectrum = (self.W, spectral.eigenvalues(self.W))
         return self._spectrum[1]
 
-    def dense(self) -> np.ndarray:
-        return self.W.toarray()
-
 
 @dataclass
 class CycleDensity:
@@ -573,19 +570,12 @@ def _fits(kind: str, value) -> bool:
         and (not isinstance(value, float) or np.isfinite(value)))
 
 
-def _family_key(family) -> str:
-    """The upper-cased family name; a family that is not a string is a
-    config error."""
-    if not isinstance(family, str):
-        raise ParameterError(f"reservoir family must be a string, got {family!r}")
-    return family.upper()
-
-
 def _builder(family):
-    """The generator of a family name; an unknown family is a config error."""
+    """The generator of a family name, in any case; an unknown family, or one
+    that is not a string, is a config error."""
     try:
-        return _FAMILY_BUILDERS[_family_key(family)]
-    except KeyError:
+        return _FAMILY_BUILDERS[family.upper()]
+    except (AttributeError, KeyError):
         raise ParameterError(f"unknown reservoir family {family!r}") from None
 
 

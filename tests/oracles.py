@@ -144,9 +144,9 @@ def multi_step_errors_longhand(reservoir, readout, states: np.ndarray,
     match this bitwise. A rollout whose output leaves [-1e6, 1e6] scores
     infinity.
     """
-    W = (reservoir.dense() if reservoir.n <= _DENSE_CUTOFF
+    W = (reservoir.W.toarray() if reservoir.n <= _DENSE_CUTOFF
          else sp.csr_matrix(reservoir.W))
-    w_state, w_input = readout.w_out[:-1], readout.w_out[-1]
+    w_state, w_input = readout[:-1], readout[-1]
     starts = np.linspace(start, len(series) - 1 - horizon, anchors).astype(int)
     errors = np.empty(len(starts))
     for idx, t in enumerate(starts):

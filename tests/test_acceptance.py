@@ -136,7 +136,7 @@ def test_ac05_ensemble_anticorrelations():
         run = run_teacher_forced(res, drive)
         profile = memory_capacity_from_states(run.states, drive,
                                               tau_max=800, start=800)
-        s = mean_squared_correlation(run.states[100:]).value
+        s = mean_squared_correlation(run.states[100:])
         return profile.total, s, avg_modulus(res.W)
 
     rows = []
@@ -304,8 +304,7 @@ def test_ac10_combination_never_regresses():
     evaluate = cycle_evaluator(bundle, mean_modulus=MG_MEAN_MODULUS)
     n_seeds = 50
     seeds = [[0, i] for i in range(n_seeds)]
-    baseline = evaluate({}, seeds)
-    result = validate_and_combine(matched, evaluate, baseline, n_seeds=n_seeds)
+    result = validate_and_combine(matched, evaluate, n_seeds=n_seeds)
 
     if result.fallback:
         assert result.combined == {}
@@ -318,7 +317,7 @@ def test_ac10_combination_never_regresses():
     assert re_median == result.combined_median
     print(f"\n[AC10] combined {result.combined} median "
           f"{result.combined_median:.3f} <= best single {best_single:.3f} "
-          f"(baseline {np.median(baseline):.3f}, "
+          f"(baseline {result.baseline_median:.3f}, "
           f"candidates {result.candidate_medians})")
 
 
@@ -363,7 +362,7 @@ def test_ac12_numeric_hygiene(rng):
     target = rng.standard_normal(200)
     readout = train_readout(run, target, ridge=0.0)
     design = run.design_matrix()
-    preds = (design @ readout.w_out)[20:]
+    preds = (design @ readout)[20:]
     A = np.eye(21) + 0.3 * rng.standard_normal((21, 21))
     w2 = solve_ridge((design @ A)[20:], target[20:], 0.0)
     preds2 = ((design @ A) @ w2)[20:]

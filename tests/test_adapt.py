@@ -1,9 +1,14 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import esnkit
 from esnkit import adapt, benchmarks
 from esnkit.adapt import (
     AdaptationResult,
@@ -206,6 +211,16 @@ class TestBuildResponseTable:
                                  lengths=(1,), density_grid=(0.0,),
                                  n_instances=1, T=128, cache_dir=tmp_path)
 
+    def test_density_that_places_no_cycle_rejected(self):
+        # n=20 at average degree 2 has a budget of 40 edges, and
+        # int(0.05 * 40 / 3) places no 3-cycle.
+        bundle = dataclasses.replace(BUNDLE, esn_defaults=dataclasses.replace(
+            BUNDLE.esn_defaults, n=20, avg_degree=2.0))
+        with pytest.raises(ParameterError, match="density 0.05 places no "
+                                                 "cycle of length 3"):
+            table_for(bundle, lengths=(3,), density_grid=(0.0, 0.05),
+                      n_instances=1, T=64)
+
     def test_feedback_leaves_the_response_unchanged(self):
         # The noise drive has no readout to feed back, and the feedback
         # weights are drawn after everything else.
@@ -287,7 +302,7 @@ class TestValidateAndCombine:
         evaluate = scripted_evaluator({"baseline": 1.0, "1:+0.5000": 2.0,
                                        "2:-0.5000": 3.0})
         result = validate_and_combine(make_result(selected, self.scores_for(selected)),
-                                      evaluate, 1.0, n_seeds=4)
+                                      evaluate, n_seeds=4)
         assert result.fallback
         assert result.combined == {}
         assert result.rejected == [1, 2]
@@ -297,7 +312,7 @@ class TestValidateAndCombine:
         evaluate = scripted_evaluator({"baseline": 1.0, "1:+0.5000": 0.5,
                                        "2:-0.5000": 3.0})
         result = validate_and_combine(make_result(selected, self.scores_for(selected)),
-                                      evaluate, 1.0, n_seeds=4)
+                                      evaluate, n_seeds=4)
         assert not result.fallback
         assert result.combined == {1: 0.5}
         assert result.rejected == [2]
@@ -309,7 +324,7 @@ class TestValidateAndCombine:
             "baseline": 1.0, "1:+0.5000": 0.6, "2:+0.4000": 0.8,
             "1:+0.5000,2:+0.4000": 0.5})
         result = validate_and_combine(make_result(selected, self.scores_for(selected)),
-                                      evaluate, 1.0, n_seeds=4)
+                                      evaluate, n_seeds=4)
         assert result.combined == {1: 0.5, 2: 0.4}
         assert result.combined_median == 0.5
         assert not result.fallback
@@ -320,7 +335,7 @@ class TestValidateAndCombine:
             "baseline": 1.0, "1:+0.5000": 0.6, "2:+0.4000": 0.8,
             "1:+0.5000,2:+0.4000": 0.7})
         result = validate_and_combine(make_result(selected, self.scores_for(selected)),
-                                      evaluate, 1.0, n_seeds=4)
+                                      evaluate, n_seeds=4)
         assert result.combined == {1: 0.5}  # falls back to the best single
         assert result.combined_median == 0.6
 
@@ -331,7 +346,7 @@ class TestValidateAndCombine:
             "3:+0.2000": 0.7,
             "1:+0.8000,3:+0.2000": 0.4, "2:+0.8000,3:+0.2000": 0.3})
         result = validate_and_combine(make_result(selected, self.scores_for(selected)),
-                                      evaluate, 1.0, n_seeds=4)
+                                      evaluate, n_seeds=4)
         # {1: 0.8, 2: 0.8} and the triple exceed the budget and are skipped
         assert sum(abs(v) for v in result.combined.values()) <= 1.0
         assert result.combined_median <= 0.5
@@ -341,12 +356,26 @@ class TestValidateAndCombine:
         evaluate = scripted_evaluator({
             "baseline": 1.0, "1:+0.6000": 0.9, "2:+0.6000": 0.8})
         result = validate_and_combine(make_result(selected, self.scores_for(selected)),
-                                      evaluate, 1.0, n_seeds=4)
+                                      evaluate, n_seeds=4)
         assert sum(abs(v) for v in result.combined.values()) <= 1.0
 
     def test_candidate_medians_recorded(self):
         selected = {1: 0.5}
         evaluate = scripted_evaluator({"baseline": 1.0, "1:+0.5000": 0.4})
         result = validate_and_combine(make_result(selected, self.scores_for(selected)),
-                                      evaluate, 1.0, n_seeds=4)
+                                      evaluate, n_seeds=4)
         assert result.candidate_medians == {"1:+0.5000": 0.4}
+
+
+def test_import_loads_scipy_sparse_before_scipy_linalg():
+    # adapt.py imports benchmarks last to keep this order: scipy.linalg
+    # loaded first starts OpenBLAS's threads earlier and slows start-up.
+    code = ("import sys, esnkit; names = list(sys.modules); "
+            "print(names.index('scipy.sparse'), names.index('scipy.linalg'))")
+    src = str(Path(esnkit.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    sparse_at, linalg_at = map(int, out.split())
+    assert sparse_at < linalg_at

@@ -213,6 +213,16 @@ class TestErrors:
                    "gen_params": {"n": "x"}}, "gen_params"),
         ("adapt", {"task": {"name": "sine-mixture", "seed": 3, "length": 2500},
                    "gen_params": {"n": 20, "length": 2}}, "gen_params"),
+        # Members are seeded from seed_base, which would overwrite these.
+        ("memory", {"reservoir": {"family": "ER", "n": 20, "avg_degree": 3,
+                                  "seed": 5}, "T": 400}, "seed_base"),
+        ("benchmark", {"task": {"name": "sine-mixture", "seed": 1, "length": 1200},
+                       "reservoir": {"family": "ER", "n": 20, "seed": 7}},
+         "seed_base"),
+        ("benchmark", {"task": {"name": "sine-mixture", "seed": 1, "length": 1200},
+                       "reservoir": {"family": "ER", "n": 20},
+                       "sweep": {"param": "seed", "values": [7, 8]}},
+         "seed_base"),
     ], ids=["memory_ensemble", "memory_tau_max", "benchmark_bins",
             "adapt_n_seeds", "memory_empty_ensemble", "benchmark_empty_ensemble",
             "adapt_no_seeds", "memory_float_ensemble", "memory_bool_ensemble",
@@ -221,7 +231,8 @@ class TestErrors:
             "memory_no_reservoir", "memory_int_reservoir", "generate_list_reservoir",
             "adapt_string_task", "adapt_int_gen_params",
             "adapt_gen_params_unknown_key", "adapt_gen_params_string_n",
-            "adapt_gen_params_sets_length"])
+            "adapt_gen_params_sets_length", "memory_reservoir_seed",
+            "benchmark_reservoir_seed", "benchmark_seed_sweep"])
     def test_malformed_numeric_field(self, tmp_path, capsys, command, cfg, key):
         path = write_config(tmp_path, "c.json", cfg)
         assert run_cli(command, "-c", path, "-o", tmp_path / "o") == 2
@@ -1264,6 +1275,19 @@ class TestAdaptCommand:
                        "--cache-dir", cache) == 0
         assert (out / "adaptation.json").read_bytes() == \
             (out2 / "adaptation.json").read_bytes()
+
+    def test_density_that_places_no_cycle(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "a.json", {
+            "task": {"name": "mackey-glass", "seed": 0, "length": 600,
+                     "washout": 100, "horizon": 5, "n_neurons": 20,
+                     "avg_degree": 2},
+            "lengths": [3], "density_grid": [0.05], "n_instances": 1,
+            "n_seeds": 3})
+        assert run_cli("adapt", "-c", cfg, "-o", tmp_path / "o") == 2
+        err = TestErrors.single_error_line(capsys)
+        assert err["error"] == "ParameterError"
+        assert err["message"] == ("density 0.05 places no cycle of length 3 "
+                                  "in the task's n=20 reservoir")
 
     def test_table_cache_key_is_stable(self, tmp_path):
         # The key hashes the table's parameters, the 100-step response

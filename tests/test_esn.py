@@ -12,7 +12,6 @@ from esnkit.errors import (
 )
 from esnkit.esn import (
     _DENSE_CUTOFF,
-    TrainedReadout,
     _one_step_blocks,
     forecast_free_run,
     run_teacher_forced,
@@ -195,7 +194,7 @@ class TestSparseDrive:
                      normalization=Normalization("spectral_radius", 0.95))
         u = rng.uniform(-1, 1, shape)
         feed = u[..., None] * res.w_in
-        Wt = res.dense().T
+        Wt = res.W.toarray().T
         want = np.empty_like(feed)
         x = np.zeros(feed.shape[1:])
         for t in range(len(feed)):
@@ -216,12 +215,12 @@ class TestTrainReadout:
         readout = train_readout(run, run.inputs, ridge=0.0)
         expected = np.zeros(21)
         expected[-1] = 1.0
-        assert_allclose(readout.w_out, expected, atol=1e-8)
+        assert_allclose(readout, expected, atol=1e-8)
 
     def test_zero_target(self, rng):
         run = self.make_run(rng)
         readout = train_readout(run, np.zeros(len(run.inputs)))
-        assert_array_equal(readout.w_out, np.zeros(21))
+        assert_array_equal(readout, np.zeros(21))
 
     def test_matches_extended_precision_oracle(self, rng):
         run = self.make_run(rng)
@@ -229,7 +228,7 @@ class TestTrainReadout:
         readout = train_readout(run, target, ridge=1e-6)
         design = run.design_matrix()[run.washout:]
         expected = highprec_ridge(design, target[run.washout:], 1e-6)
-        assert_allclose(readout.w_out, expected,
+        assert_allclose(readout, expected,
                         rtol=1e-6, atol=1e-9 * np.abs(expected).max())
 
     def test_rank_deficient_raises_and_advises(self, rng):
@@ -270,10 +269,10 @@ class TestTrainReadout:
             r = y - design @ w
             return r @ r + ridge * (w @ w)
 
-        base = objective(readout.w_out)
-        for i in range(len(readout.w_out)):
+        base = objective(readout)
+        for i in range(len(readout)):
             for delta in (1e-3, -1e-3):
-                w = readout.w_out.copy()
+                w = readout.copy()
                 w[i] += delta
                 assert objective(w) >= base - 1e-12 * base
 
@@ -281,7 +280,7 @@ class TestTrainReadout:
         run = self.make_run(rng)
         target = rng.standard_normal(len(run.inputs))
         readout = train_readout(run, target, ridge=0.0)
-        preds = (run.design_matrix() @ readout.w_out)[run.washout:]
+        preds = (run.design_matrix() @ readout)[run.washout:]
 
         A = np.eye(21) + 0.3 * rng.standard_normal((21, 21))
         design = run.design_matrix() @ A
@@ -294,7 +293,7 @@ class TestTrainReadout:
 class TestFreeRun:
     def test_zero_readout(self):
         res = gen_er(10, 2, seed=0)
-        readout = TrainedReadout(np.zeros(11))
+        readout = np.zeros(11)
         ys = forecast_free_run(res, readout, np.zeros((1, 10)), [1.0], 7)
         assert_array_equal(ys, np.zeros((1, 7)))
 
@@ -304,13 +303,13 @@ class TestFreeRun:
         run = run_teacher_forced(res, u, washout=10)
         readout = train_readout(run, rng.standard_normal(60))
         x = run.states[30]
-        expected = readout.w_out[:-1] @ x + readout.w_out[-1] * u[30]
+        expected = readout[:-1] @ x + readout[-1] * u[30]
         got = forecast_free_run(res, readout, x[None], u[30:31], 1)
         assert got[0, 0] == pytest.approx(expected)
 
     def test_divergence_reports_step(self):
         res = tiny_reservoir(np.zeros((2, 2)))
-        readout = TrainedReadout(np.array([0.0, 0.0, 2.0]))
+        readout = np.array([0.0, 0.0, 2.0])
         [ys] = forecast_free_run(res, readout, np.zeros((1, 2)), [1.0], 100)
         # y_h = 2^(h+1) first exceeds 1e6 at step 20, which reads inf
         assert np.all(np.isfinite(ys[:19]))
@@ -321,7 +320,7 @@ class TestFreeRun:
         # leaves the limit at step 20. Its input (doubled every step) would
         # overflow before step 2000 if not frozen.
         res = tiny_reservoir(2.0 * np.eye(2), w_in=[1.0, 0.5])
-        readout = TrainedReadout(np.array([0.0, 0.0, 2.0]))
+        readout = np.array([0.0, 0.0, 2.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ys = forecast_free_run(res, readout, np.zeros((2, 2)),
@@ -333,7 +332,7 @@ class TestFreeRun:
     def test_all_rows_diverged(self):
         # y = 2u from 1, -4 and 8 leaves the limit at steps 20, 18 and 17
         res = tiny_reservoir(np.zeros((2, 2)))
-        readout = TrainedReadout(np.array([0.0, 0.0, 2.0]))
+        readout = np.array([0.0, 0.0, 2.0])
         ys = forecast_free_run(res, readout, np.zeros((3, 2)),
                                np.array([1.0, -4.0, 8.0]), 50)
         assert np.all(np.isinf(ys[:, 19:]))
@@ -342,7 +341,7 @@ class TestFreeRun:
     def test_horizon_validation(self):
         res = gen_er(5, 1, seed=0)
         with pytest.raises(ParameterError):
-            forecast_free_run(res, TrainedReadout(np.zeros(6)),
+            forecast_free_run(res, np.zeros(6),
                               np.zeros((1, 5)), [0.0], 0)
 
     @pytest.mark.parametrize("X0,u0", [(np.zeros(5), [0.0]),
@@ -352,7 +351,22 @@ class TestFreeRun:
     def test_shape_validation(self, X0, u0):
         res = gen_er(5, 1, seed=0)
         with pytest.raises(DimensionError):
-            forecast_free_run(res, TrainedReadout(np.zeros(6)), X0, u0, 3)
+            forecast_free_run(res, np.zeros(6), X0, u0, 3)
+
+
+@pytest.mark.parametrize("w_out", [np.zeros(5), np.zeros(7), np.zeros((6, 1)),
+                                   np.zeros((1, 6))],
+                         ids=["no-input-weight", "too-long", "column", "row"])
+@pytest.mark.parametrize("caller", ["forecast_free_run",
+                                    "score_against_classes"])
+def test_readout_shape_validation(caller, w_out):
+    res = gen_er(5, 1, seed=0)
+    with pytest.raises(DimensionError, match=r"readout weights .* \(6,\)"):
+        if caller == "forecast_free_run":
+            forecast_free_run(res, w_out, np.zeros((1, 5)), [0.0], 3)
+        else:
+            score_against_classes({0: np.zeros(6), 1: w_out},
+                                  [np.sin(np.arange(30))], res)
 
 
 def classify(train_sets, test, reservoir, washout=5):

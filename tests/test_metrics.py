@@ -169,23 +169,23 @@ class TestNeuronCorrelation:
     def test_identical_columns(self, rng):
         x = rng.standard_normal(500)
         stat = mean_squared_correlation(np.column_stack([x, x]))
-        assert stat.value == pytest.approx(1.0)
+        assert stat == pytest.approx(1.0)
 
     def test_sign_flip_still_one(self, rng):
         x = rng.standard_normal(500)
         stat = mean_squared_correlation(np.column_stack([x, -x]))
-        assert stat.value == pytest.approx(1.0)
+        assert stat == pytest.approx(1.0)
 
     def test_white_noise_is_small(self, rng):
         stat = mean_squared_correlation(rng.standard_normal((10000, 50)))
-        assert stat.value < 0.01  # finite-sample bias is O(1/T)
+        assert stat < 0.01  # finite-sample bias is O(1/T)
 
     def test_affine_rescaling_invariance(self, rng):
         X = rng.standard_normal((300, 8))
         scales = rng.choice([-1, 1], 8) * rng.uniform(0.5, 3.0, 8)
         shifted = X * scales + rng.standard_normal(8)
-        a = mean_squared_correlation(X).value
-        b = mean_squared_correlation(shifted).value
+        a = mean_squared_correlation(X)
+        b = mean_squared_correlation(shifted)
         assert b == pytest.approx(a, rel=1e-9)
 
     def test_constant_column_named(self):
