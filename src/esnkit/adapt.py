@@ -288,7 +288,7 @@ def validate_and_combine(result: AdaptationResult,
     ``evaluate(config, seeds)`` must return per-seed performance scores
     (lower is better) for reservoirs built with the given cycle densities.
     The zero-cycle baseline ``evaluate({}, seeds)`` is scored first, on the
-    seeds ``[seed_base, i]`` that every candidate is scored on.
+    seeds ``[seed_base, i]`` (``n_seeds >= 1``) that every candidate uses.
 
     Lengths whose matched density performs worse (median) than the
     baseline are dropped; if none survive, the baseline configuration is
@@ -300,6 +300,8 @@ def validate_and_combine(result: AdaptationResult,
     single-length configuration is returned (it is the degenerate
     combination). Deterministic given (result, evaluate, seeds).
     """
+    if n_seeds < 1:
+        raise ParameterError(f"n_seeds must be at least 1, got {n_seeds}")
     seeds = [[seed_base, i] for i in range(n_seeds)]
     baseline_median = float(np.median(evaluate({}, seeds)))
 

@@ -125,9 +125,9 @@ def protocol_fields(bundle: TaskBundle, builder) -> dict:
 def er_reservoir_for(bundle: TaskBundle, seed: SeedLike, *,
                      alpha: float | None = None) -> Reservoir:
     """Random reservoir matching a bundle's default protocol settings."""
-    return gen_er(seed=seed, normalization=Normalization(
-        "spectral_radius", alpha or bundle.esn_defaults.alpha),
-        **protocol_fields(bundle, gen_er))
+    alpha = bundle.esn_defaults.alpha if alpha is None else alpha
+    return gen_er(seed=seed, normalization=Normalization("spectral_radius", alpha),
+                  **protocol_fields(bundle, gen_er))
 
 
 def cycle_reservoir_for(bundle: TaskBundle, cycle_density: dict[int, float],

@@ -433,8 +433,7 @@ def cmd_benchmark(args, outdir: Path, cfg: dict, *, task: dict,
     bundle = task_from_config(task)
     fields = protocol_fields(bundle, _builder(reservoir.get("family", "ER")))
     if "avg_degree" in fields:
-        fields["normalization"] = {"mode": "spectral_radius",
-                                   "value": bundle.esn_defaults.alpha}
+        fields = _apply_sweep(fields, "alpha", bundle.esn_defaults.alpha)
     base_cfg = {**fields, **reservoir}
 
     payloads = []

@@ -23,7 +23,7 @@ from .errors import (
     ParameterError,
 )
 from . import spectral
-from .spectral import _rescale, normalize_spectral_radius
+from .spectral import _rescale
 
 __all__ = [
     "Normalization",
@@ -69,7 +69,7 @@ class Normalization:
     value: float
 
     def __post_init__(self):
-        if self.mode not in ("spectral_radius", "avg_modulus"):
+        if self.mode not in spectral._STATISTICS:
             raise ParameterError(f"unknown normalization mode {self.mode!r}")
         if not self.value > 0:
             raise ParameterError("normalization value must be positive")
@@ -140,21 +140,15 @@ def _finalize(W, *, family: str, avg_degree: float, seed: SeedLike | None,
               params: dict | None = None,
               warnings_: list[str] | None = None) -> Reservoir:
     """Normalize, draw the input/feedback vectors, and assemble a Reservoir."""
+    if not (0 < input_gain <= 1.0):
+        raise ParameterError("input_gain must lie in (0, 1]")
     W = sp.csr_array(W)
     W.sum_duplicates()
     W.eliminate_zeros()
     n = W.shape[0]
     warnings_ = list(warnings_ or [])
-    spectrum = (None, None)
-    if normalization is not None:
-        try:
-            W, vals = _rescale(W, normalization.mode, normalization.value)
-            spectrum = (W, vals)
-        except DegenerateSpectrumError:
-            # Tiny/empty graphs can be nilpotent; keep them unscaled.
-            warnings_.append("degenerate spectrum; normalization skipped")
-    if not (0 < input_gain <= 1.0):
-        raise ParameterError("input_gain must lie in (0, 1]")
+    W, spectrum = (W, None) if normalization is None else _rescaled(
+        W, normalization, warnings_, "degenerate spectrum; normalization skipped")
     if rng is None:
         w_in = np.zeros(n)
         w_ofb = np.zeros(n)
@@ -172,8 +166,20 @@ def _finalize(W, *, family: str, avg_degree: float, seed: SeedLike | None,
         warnings=warnings_,
     )
     reservoir = Reservoir(W=W, w_in=w_in, w_ofb=w_ofb, meta=meta)
-    reservoir._spectrum = spectrum
+    if spectrum is not None:
+        reservoir._spectrum = (W, spectrum)
     return reservoir
+
+
+def _rescaled(W, normalization: Normalization, warnings_: list[str],
+              warning: str):
+    """``W`` rescaled to ``normalization`` and its spectrum; a degenerate (say,
+    nilpotent) ``W`` comes back unscaled with ``None``, recording ``warning``."""
+    try:
+        return _rescale(W, normalization.mode, normalization.value)
+    except DegenerateSpectrumError:
+        warnings_.append(warning)
+        return W, None
 
 
 def _offdiag_positions(rng: np.random.Generator, n: int, count: int):
@@ -413,8 +419,8 @@ def _cycle_edges(rng: np.random.Generator, n: int, length: int,
 
 def gen_combined(n: int, connectivity: float,
                  cycle_density: Mapping[int, float], seed: SeedLike,
-                 normalization: Normalization | None = None, *,
-                 l1_mode: str = "weight_mix", input_gain: float = 1.0,
+                 normalization: Normalization | None = DEFAULT_CYCLE_NORMALIZATION,
+                 *, l1_mode: str = "weight_mix", input_gain: float = 1.0,
                  feedback: bool = False) -> Reservoir:
     """Reservoir with prescribed signed cycle densities, superposed.
 
@@ -432,19 +438,22 @@ def gen_combined(n: int, connectivity: float,
       self-loops and the random part shrinks accordingly, so the measured
       density matches ``rho_1``; infeasible when the loop budget exceeds n.
 
-    The final matrix is rescaled to ``normalization`` (mean eigenvalue
-    modulus 0.6 when omitted).
+    The final matrix is rescaled to ``normalization``: mean eigenvalue
+    modulus 0.6 by default, and unscaled for ``None`` (as in every generator).
     """
     if l1_mode not in ("weight_mix", "edge_count"):
         raise ParameterError(f"unknown l1_mode {l1_mode!r}")
     if not 0 < connectivity <= 1:
         raise ParameterError("connectivity must lie in (0, 1]")
     try:
-        cycle_density = {int(length): float(r)
-                         for length, r in cycle_density.items() if r != 0.0}
+        pairs = [(int(length), float(r)) for length, r in cycle_density.items()]
+        if len(dict(pairs)) < len(pairs) or any(
+                isinstance(r, (str, bool)) for r in cycle_density.values()):
+            raise TypeError  # a length named twice, or a value not a number
     except (AttributeError, TypeError, ValueError):
-        raise ParameterError("cycle_density must map integer cycle lengths to "
-                             f"numbers, got {cycle_density!r}") from None
+        raise ParameterError("cycle_density must map distinct integer cycle "
+                             f"lengths to numbers, got {cycle_density!r}") from None
+    cycle_density = {length: r for length, r in pairs if r != 0.0}
     for length, r in cycle_density.items():
         if length < 1:
             raise ParameterError("cycle lengths must be >= 1")
@@ -455,21 +464,19 @@ def gen_combined(n: int, connectivity: float,
             raise ParameterError("cycle densities must lie in [-1, 1]")
     if sum(abs(r) for r in cycle_density.values()) > 1 + 1e-9:
         raise ParameterError("cycle densities must satisfy sum(|rho|) <= 1")
-    if normalization is None:
-        normalization = DEFAULT_CYCLE_NORMALIZATION
 
     rng = make_rng(seed)
     budget = int(round(connectivity * n * n / 2))
+    mix = cycle_density.get(1, 0.0) if l1_mode == "weight_mix" else 0.0
     warnings_: list[str] = []
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     cycle_counts: dict[int, int] = {}
 
-    structured_edges = 0
     for length in sorted(cycle_density):
         r = cycle_density[length]
-        if length == 1 and l1_mode == "weight_mix":
+        if length == 1 and mix != 0.0:
             continue
-        count = int(abs(r) * budget) if length == 1 else int(abs(r) * budget / length)
+        count = int(abs(r) * budget / length)
         cycle_counts[length] = count
         if length == 1 and count > n:
             raise ParameterError(
@@ -486,34 +493,27 @@ def gen_combined(n: int, connectivity: float,
             parts.append((nodes, nodes, vals))
         else:
             parts.append(_cycle_edges(rng, n, length, count, sign))
-        structured_edges += count * length if length >= 2 else count
 
-    n_random = budget - structured_edges
+    n_random = budget - sum(len(rows) for rows, _, _ in parts)
     if n_random > 0:
         rows, cols = _offdiag_positions(rng, n, n_random)
         random_part = sp.coo_array((rng.standard_normal(n_random), (rows, cols)),
                                    shape=(n, n))
-        try:
-            random_part = sp.coo_array(normalize_spectral_radius(random_part, 1.0))
-        except DegenerateSpectrumError:
-            warnings_.append("random part has degenerate spectrum; left unscaled")
+        random_part = sp.coo_array(_rescaled(
+            random_part, RADIUS_ONE, warnings_,
+            "random part has degenerate spectrum; left unscaled")[0])
         parts.append((random_part.row, random_part.col, random_part.data))
 
     rows, cols, vals = ([np.concatenate(p) for p in zip(*parts)] if parts
                         else ([], [], []))
     W = sp.coo_array((vals, (rows, cols)), shape=(n, n))
 
-    mix = cycle_density.get(1, 0.0) if l1_mode == "weight_mix" else 0.0
     if mix != 0.0:
         base = sp.csr_array(W)
-        base.sum_duplicates()
         if base.nnz > 0:
-            try:
-                base = sp.csr_array(normalize_spectral_radius(base, 1.0))
-            except DegenerateSpectrumError:
-                warnings_.append("sparse part has degenerate spectrum; left unscaled")
-        ident = sp.csr_array(sp.eye(n, format="csr"))
-        W = (1.0 - abs(mix)) * base + mix * ident
+            base = _rescaled(base, RADIUS_ONE, warnings_,
+                             "sparse part has degenerate spectrum; left unscaled")[0]
+        W = (1.0 - abs(mix)) * base + mix * sp.eye_array(n, format="csr")
 
     return _finalize(W, family="CYCLE", avg_degree=connectivity * n / 2,
                      seed=seed, normalization=normalization, rng=rng,
@@ -527,8 +527,8 @@ def gen_combined(n: int, connectivity: float,
 
 def gen_cycle_enhanced(n: int, connectivity: float, length: int,
                        cycle_density: float, seed: SeedLike,
-                       normalization: Normalization | None = None, *,
-                       l1_mode: str = "weight_mix", input_gain: float = 1.0,
+                       normalization: Normalization | None = DEFAULT_CYCLE_NORMALIZATION,
+                       *, l1_mode: str = "weight_mix", input_gain: float = 1.0,
                        feedback: bool = False) -> Reservoir:
     """Single-length special case of :func:`gen_combined`."""
     return gen_combined(n, connectivity, {length: cycle_density}, seed,

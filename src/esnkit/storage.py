@@ -73,9 +73,6 @@ def load_matrix(path) -> sp.csr_array:
 
 def _meta_to_dict(meta: ReservoirMeta) -> dict:
     d = asdict(meta)
-    if meta.normalization is not None:
-        d["normalization"] = {"mode": meta.normalization.mode,
-                              "value": meta.normalization.value}
     d["target_cycle_density"] = {str(k): v
                                  for k, v in meta.target_cycle_density.items()}
     if isinstance(meta.seed, (int, np.integer)):

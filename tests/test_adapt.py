@@ -359,6 +359,13 @@ class TestValidateAndCombine:
                                       evaluate, n_seeds=4)
         assert sum(abs(v) for v in result.combined.values()) <= 1.0
 
+    def test_no_seeds_is_a_parameter_error(self):
+        selected = {1: 0.5}
+        evaluate = scripted_evaluator({"baseline": 1.0, "1:+0.5000": 2.0})
+        with pytest.raises(ParameterError, match="n_seeds"):
+            validate_and_combine(make_result(selected, self.scores_for(selected)),
+                                 evaluate, n_seeds=0)
+
     def test_candidate_medians_recorded(self):
         selected = {1: 0.5}
         evaluate = scripted_evaluator({"baseline": 1.0, "1:+0.5000": 0.4})

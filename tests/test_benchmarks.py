@@ -14,6 +14,7 @@ from esnkit.benchmarks import (
     er_reservoir_for,
     forecast_benchmark,
 )
+from esnkit.errors import ParameterError
 from esnkit.esn import (
     _DENSE_CUTOFF,
     score_against_classes,
@@ -42,6 +43,10 @@ class TestForecastBenchmark:
         res = er_reservoir_for(small_sine_bundle, seed=1)
         assert forecast_benchmark(small_sine_bundle, res) == \
             forecast_benchmark(small_sine_bundle, res)
+
+    def test_zero_alpha_is_a_parameter_error(self, small_sine_bundle):
+        with pytest.raises(ParameterError, match="must be positive"):
+            er_reservoir_for(small_sine_bundle, seed=1, alpha=0.0)
 
     def test_dispatch(self, small_sine_bundle):
         res = er_reservoir_for(small_sine_bundle, seed=2)

@@ -147,10 +147,17 @@ class TestErrors:
          "avg_degree"),
         ({"family": "CYCLE", "n": 20, "connectivity": 1.0,
           "cycle_density": {"21": 0.9}}, "cycle length 21 exceeds the 20"),
+        ({"family": "CYCLE", "n": 20, "connectivity": 0.3,
+          "cycle_density": {"2": "0.5"}}, "cycle_density"),
+        ({"family": "CYCLE", "n": 20, "connectivity": 0.3,
+          "cycle_density": {"2": True}}, "cycle_density"),
+        ({"family": "CYCLE", "n": 20, "connectivity": 0.3,
+          "cycle_density": {"2": 0.5, "02": 0.3}}, "cycle_density"),
     ], ids=["cycle_density_key", "normalization_value", "normalization_string",
             "string_n", "int_family", "string_feedback", "bool_norm_value",
             "single_node_er", "sf_max_rounds", "sf_degrees_round_to_zero",
-            "cycle_longer_than_n"])
+            "cycle_longer_than_n", "string_cycle_density",
+            "bool_cycle_density", "duplicate_cycle_length"])
     def test_malformed_reservoir_value(self, tmp_path, capsys, reservoir, key):
         cfg = write_config(tmp_path, "g.json", {"reservoir": reservoir})
         assert run_cli("generate", "-c", cfg, "-o", tmp_path / "o") == 2

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -263,10 +265,39 @@ class TestCycleEnhanced:
         assert measured.density[2] == pytest.approx(0.4, abs=0.06)
         assert measured.density[3] == pytest.approx(0.3, abs=0.06)
 
+    def test_numpy_numbers_pass(self):
+        res = gen_combined(20, 0.3, {np.int64(2): np.float32(0.5)}, seed=0)
+        assert res.meta.target_cycle_density == {2: 0.5}
+
     def test_determinism(self):
         a = gen_combined(120, 0.1, {1: 0.3, 2: 0.2}, seed=8)
         b = gen_combined(120, 0.1, {1: 0.3, 2: 0.2}, seed=8)
         assert_array_equal(a.W.toarray(), b.W.toarray())
+
+
+# Every generator that takes a normalization, with the positional arguments
+# of a small instance (seed last).
+GENERATORS = {**reservoirs._FAMILY_BUILDERS, "CYCLE_SINGLE": gen_cycle_enhanced}
+SMALL_INSTANCES = {
+    "ER": (20, 4, 0), "SF": (20, 4, 3.0, 0), "PLW": (20, 4, 3.0, 0),
+    "RR": (20, 3, 0), "CYCLE": (20, 0.2, {2: 0.3}, 0),
+    "CYCLE_SINGLE": (20, 0.2, 2, 0.3, 0),
+}
+
+
+@pytest.mark.parametrize("family", [
+    family for family, builder in sorted(GENERATORS.items())
+    if "normalization" in inspect.signature(builder).parameters])
+def test_one_normalization_rule(family):
+    """A generator's default normalization is a ``Normalization``, and an
+    explicit ``None`` is recorded as no normalization (the raw ``W``, as
+    ``test_matrix_equals_normalized_raw_output`` checks)."""
+    builder = GENERATORS[family]
+    default = inspect.signature(builder).parameters["normalization"].default
+    assert isinstance(default, Normalization)
+    assert builder(*SMALL_INSTANCES[family]).meta.normalization == default
+    raw = builder(*SMALL_INSTANCES[family], normalization=None)
+    assert raw.meta.normalization is None
 
 
 class TestCycleDensityMeasurement:
@@ -401,17 +432,19 @@ class TestStoredSpectrum:
 
     @pytest.mark.parametrize("family", sorted(NORMALIZED_BUILDERS))
     @pytest.mark.parametrize("mode", sorted(NORMALIZE))
-    def test_matrix_equals_normalized_raw_output(self, family, mode,
-                                                 monkeypatch):
+    def test_matrix_equals_normalized_raw_output(self, family, mode):
         res = NORMALIZED_BUILDERS[family](Normalization(mode, 0.7), 4)
-        # gen_combined falls back to its default when given None
-        monkeypatch.setattr(reservoirs, "DEFAULT_CYCLE_NORMALIZATION", None)
         raw = NORMALIZED_BUILDERS[family](None, 4)
         assert raw.meta.normalization is None
         expected = NORMALIZE[mode](raw.W, 0.7)
         assert_array_equal(res.W.toarray(), expected.toarray())
         assert_array_equal(res.W.indices, expected.indices)
         assert_array_equal(res.w_in, raw.w_in)
+
+    def test_input_gain_checked_before_decomposition(self, eig_calls):
+        with pytest.raises(ParameterError, match="input_gain"):
+            gen_er(400, 20, seed=0, input_gain=2.0)
+        assert eig_calls == []
 
     def test_reassigning_w_recomputes(self, eig_calls):
         res = gen_er(40, 5, seed=2, normalization=Normalization("spectral_radius", 0.5))

@@ -12,9 +12,11 @@ wall-clock times) and the response-table cache are left out. Two checkouts
 whose digests agree wrote byte-identical outputs. ``--dump FILE`` writes
 every value that ``workload.read`` returns as JSON; ``--compare FILE`` lists
 each value that differs from such a dump, with its relative change, and the
-largest change per workload. ``--root`` names the checkout whose ``src`` and
-``perfbench`` are used (default: the one holding this script); nothing under
-``perfbench/`` is written. All 40 cases take about 100 s on 2 vCPUs.
+largest change per workload. The exit status is 1 when a check fails or a
+value differs from the ``--compare`` dump, and 0 otherwise. ``--root`` names
+the checkout whose ``src`` and ``perfbench`` are used (default: the one
+holding this script); nothing under ``perfbench/`` is written. All 40 cases
+take about 100 s on 2 vCPUs.
 """
 
 from __future__ import annotations
@@ -135,10 +137,11 @@ def main(argv=None) -> int:
     print(f"output digest: {digest.hexdigest()}")
     if args.dump:
         args.dump.write_text(json.dumps(values, indent=1, sort_keys=True))
+    moved = 0
     if args.compare:
         moved = compare(json.loads(args.compare.read_text()), values)
         print(f"{moved} values differ from {args.compare}")
-    return 1 if total_failed else 0
+    return 1 if total_failed or moved else 0
 
 
 if __name__ == "__main__":
