@@ -9,11 +9,12 @@ Output: ``y(t) = w_out . [x(t); u(t)]``. Only ``w_out`` is ever trained.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import (
     DimensionError,
@@ -42,11 +43,11 @@ DIVERGENCE_LIMIT = 1e6
 _DENSE_CUTOFF = 256
 
 
-def _activation(name: str) -> Callable[[np.ndarray], np.ndarray]:
+def _activation(name: str) -> np.ufunc:
     if name == "tanh":
         return np.tanh
     if name == "identity":
-        return lambda z: z
+        return np.positive
     raise ParameterError(f"unknown activation {name!r}")
 
 
@@ -110,9 +111,11 @@ def run_teacher_forced(reservoir: Reservoir, inputs: np.ndarray,
 
     A single run keeps a 1-D state, so ``x @ W.T`` stays a matrix-vector
     product, bitwise equal to ``W @ x``; a ``(T, 1)`` batch goes through a
-    matrix-matrix product, which rounds differently. A sparse ``W``
-    multiplies from the left, ``(W @ x.T).T``: the same bits as ``x @ W.T``,
-    as a CSR rather than a slower CSC product.
+    matrix-matrix product, which rounds differently. A sparse ``W`` runs
+    the CSR kernels behind ``W @ x`` (``csr_matvec``, ``csr_matvecs`` for a
+    batch) on preallocated buffers: each row sums its products from zero in
+    index order and the feed is added after, so a step has the bits of
+    ``W @ x + feed``.
     """
     u = _checked_input(inputs, washout)
     feed = u[..., None] * reservoir.w_in
@@ -125,12 +128,35 @@ def run_teacher_forced(reservoir: Reservoir, inputs: np.ndarray,
         feed += y_prev[..., None] * reservoir.w_ofb
     f = _activation(activation)
     W = _recurrence_operator(reservoir)
-    sparse, Wt = sp.issparse(W), W.T
     states = np.empty_like(feed)
+    if not sp.issparse(W):
+        acc, Wt = np.empty(feed.shape[1:]), W.T
+
+        def product(x):
+            return np.matmul(x, Wt, out=acc)
+    elif u.ndim == 1:
+        acc = np.empty(reservoir.n)
+        csr = (reservoir.n, reservoir.n, W.indptr, W.indices, W.data)
+
+        def product(x):
+            acc.fill(0.0)
+            _sparsetools.csr_matvec(*csr, x, acc)
+            return acc
+    else:
+        # csr_matvecs takes each node's B values side by side: (n, B).
+        acc = np.empty((reservoir.n, u.shape[1]))
+        csr = (reservoir.n, reservoir.n, u.shape[1], W.indptr, W.indices,
+               W.data)
+
+        def product(x):
+            acc.fill(0.0)
+            _sparsetools.csr_matvecs(*csr, x.T.ravel(), acc.ravel())
+            return acc.T
     x = np.zeros(feed.shape[1:])
     for t in range(len(feed)):
-        x = f(((W @ x.T).T if sparse else x @ Wt) + feed[t])
-        states[t] = x
+        z = product(x)
+        np.add(z, feed[t], out=z)
+        x = f(z, out=states[t])
     return EsnRun(states=states, inputs=u, washout=washout)
 
 
@@ -262,9 +288,12 @@ def score_against_classes(readouts: Mapping[int, np.ndarray],
     """
     readouts = {label: _checked_readout(w, reservoir.n)
                 for label, w in readouts.items()}
+    labels = sorted(readouts)
     results = []
     for design, target in _one_step_blocks(reservoir, recordings, washout):
-        scores = {label: nrmse(design @ readouts[label], target, design[:, -1])
-                  for label in sorted(readouts)}
+        preds = np.empty((len(labels), len(target)))
+        for row, label in zip(preds, labels):
+            np.matmul(design, readouts[label], out=row)
+        scores = dict(zip(labels, nrmse(preds, target, design[:, -1]).tolist()))
         results.append((min(scores, key=scores.__getitem__), scores))
     return results

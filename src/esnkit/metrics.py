@@ -42,27 +42,31 @@ RIDGE = 1e-8
 _DELAY_CHUNK = 32
 
 
-def nrmse(predicted, target, normalizer) -> float:
+def nrmse(predicted, target, normalizer) -> float | np.ndarray:
     """Root mean squared error scaled by the normalizer's variance.
 
     ``sqrt(sum((target - predicted)**2) / (T * var(normalizer)))`` with the
     population variance, so the score is invariant under a joint rescaling
     of all three series. A prediction pinned at the target's mean scores
-    exactly 1 when the target itself normalizes.
+    exactly 1 when the target itself normalizes. A ``(K, T)`` stack of
+    predictions of the one target gives the ``(K,)`` array of their
+    scores, each bitwise equal to its own 1-D call's float.
     """
     p = np.asarray(predicted, dtype=float)
     y = np.asarray(target, dtype=float)
     u = np.asarray(normalizer, dtype=float)
-    if p.shape != y.shape or p.ndim != 1:
-        raise DimensionError("predicted and target must be equal-length 1-D series")
-    if len(p) < 2 or len(u) < 2:
+    if y.ndim != 1 or p.shape[-1:] != y.shape or p.ndim > 2:
+        raise DimensionError("predicted must be one or a stack of series of "
+                             "the length of the 1-D target")
+    if len(y) < 2 or len(u) < 2:
         raise DimensionError("series must have at least 2 samples")
     if not (np.isfinite(y).all() and np.isfinite(u).all()):
         raise DomainError("series contain non-finite values")
     var_u = float(np.var(u))
     if var_u == 0.0:
         raise ConstantSeriesError("normalizer series has zero variance")
-    return float(np.sqrt(np.sum((y - p) ** 2) / (len(y) * var_u)))
+    scores = np.sqrt(np.sum((y - p) ** 2, axis=-1) / (len(y) * var_u))
+    return float(scores) if p.ndim == 1 else scores
 
 
 @dataclass
@@ -136,7 +140,7 @@ def memory_capacity_from_states(states: np.ndarray, drive: np.ndarray,
     split = len(rows) // 2
     tr, te = rows[:split], rows[split:]
     design = np.column_stack([X, u])
-    design_tr, design_te = design[tr], design[te]
+    design_tr, design_te = design[start:start + split], design[start + split:]
     factor = _ridge_factor(design_tr, ridge)
 
     coeffs = []

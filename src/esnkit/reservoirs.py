@@ -417,6 +417,16 @@ def _cycle_edges(rng: np.random.Generator, n: int, length: int,
     return rows, cols, vals
 
 
+def _cycle_length(key) -> int:
+    """A ``cycle_density`` key as a length: an int, or a string of ASCII
+    decimal digits; anything else is a ``TypeError``."""
+    digits = isinstance(key, str) and key.isascii() and key.isdigit()
+    if digits or (isinstance(key, (int, np.integer))
+                  and not isinstance(key, bool)):
+        return int(key)
+    raise TypeError(f"cycle length {key!r} is not an integer")
+
+
 def gen_combined(n: int, connectivity: float,
                  cycle_density: Mapping[int, float], seed: SeedLike,
                  normalization: Normalization | None = DEFAULT_CYCLE_NORMALIZATION,
@@ -446,7 +456,8 @@ def gen_combined(n: int, connectivity: float,
     if not 0 < connectivity <= 1:
         raise ParameterError("connectivity must lie in (0, 1]")
     try:
-        pairs = [(int(length), float(r)) for length, r in cycle_density.items()]
+        pairs = [(_cycle_length(length), float(r))
+                 for length, r in cycle_density.items()]
         if len(dict(pairs)) < len(pairs) or any(
                 isinstance(r, (str, bool)) for r in cycle_density.values()):
             raise TypeError  # a length named twice, or a value not a number

@@ -133,12 +133,13 @@ def gaussian_smooth(x, window_len: int = 3, sigma: float = 1.0) -> np.ndarray:
 
 
 def normalize_series(x) -> np.ndarray:
-    """Shift and scale to exact zero mean and unit population variance."""
+    """Shift and scale to exact zero mean and unit population variance; a
+    ``(K, T)`` stack row by row, each row bitwise as its own 1-D call."""
     series = np.asarray(x, dtype=float)
-    std = float(series.std())
-    if std == 0.0:
+    std = series.std(axis=-1, keepdims=True)
+    if (std == 0.0).any():
         raise ConstantSeriesError("cannot normalize a constant series")
-    return (series - series.mean()) / std
+    return (series - series.mean(axis=-1, keepdims=True)) / std
 
 
 def resample_to_length(x, length: int = 40) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -54,17 +55,25 @@ def save_matrix(W, path) -> None:
 
 
 def load_matrix(path) -> sp.csr_array:
+    """Read a ``.mtx`` or ``.csv`` matrix file. A NUL byte is an
+    ``IngestionError`` before any parser sees the bytes (``mmread`` can
+    crash the interpreter on one)."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"matrix file not found: {path}")
+    if path.suffix not in (".mtx", ".csv"):
+        raise DataError(f"unsupported matrix format {path.suffix!r}")
+    data = path.read_bytes()
+    nul = data.find(b"\0")
+    if nul >= 0:
+        raise IngestionError(f"{path.name}: NUL byte at offset {nul}")
     try:
         if path.suffix == ".mtx":
-            W = sp.csr_array(sp.coo_array(scipy.io.mmread(str(path))))
-        elif path.suffix == ".csv":
-            W = sp.csr_array(np.atleast_2d(np.loadtxt(path, delimiter=",")))
+            W = sp.csr_array(sp.coo_array(scipy.io.mmread(io.BytesIO(data))))
         else:
-            raise DataError(f"unsupported matrix format {path.suffix!r}")
-    except ValueError as exc:
+            W = sp.csr_array(np.atleast_2d(np.loadtxt(io.BytesIO(data),
+                                                      delimiter=",")))
+    except (ValueError, OverflowError) as exc:
         raise IngestionError(f"{path.name}: {exc}") from exc
     if not np.isfinite(W.data).all():
         raise DataError(f"{path.name}: matrix holds non-finite weights")

@@ -7,6 +7,7 @@ files; seeded synthetic stand-ins keep every pipeline testable offline.
 
 from __future__ import annotations
 
+import io
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -200,26 +201,36 @@ def _laser_bundle_from_series(series: np.ndarray, name: str,
     )
 
 
+def _text_lines(path: Path) -> list[str]:
+    """The lines of a UTF-8 text file, newlines read as ``open`` reads
+    them; a byte that is not UTF-8 is an ``IngestionError``."""
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path.name}: byte {exc.start} is not UTF-8 "
+                             f"text ({exc.reason})") from None
+    return io.StringIO(text, newline=None).readlines()
+
+
 def load_laser(path) -> TaskBundle:
     """Load a one-integer-per-line intensity record and build the
     one-step forecasting task (normalize, 3-tap Gaussian smoothing,
     1000/4547/4546 washout/train/test split)."""
     path = Path(path)
     values = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            try:
-                values.append(float(text))
-            except ValueError:
-                raise IngestionError(
-                    f"{path.name}:{lineno}: cannot parse {text!r}",
-                    line=lineno) from None
-            if not np.isfinite(values[-1]):
-                raise IngestionError(f"{path.name}:{lineno}: non-finite "
-                                     f"sample {text!r}", line=lineno)
+    for lineno, raw in enumerate(_text_lines(path), start=1):
+        text = raw.strip()
+        if not text:
+            continue
+        try:
+            values.append(float(text))
+        except ValueError:
+            raise IngestionError(
+                f"{path.name}:{lineno}: cannot parse {text!r}",
+                line=lineno) from None
+        if not np.isfinite(values[-1]):
+            raise IngestionError(f"{path.name}:{lineno}: non-finite "
+                                 f"sample {text!r}", line=lineno)
     if not values:
         raise IngestionError(f"{path.name}: file contains no samples")
     return _laser_bundle_from_series(np.asarray(values), "laser",
@@ -262,26 +273,25 @@ def _parse_mfcc_blocks(path) -> list[np.ndarray]:
     path = Path(path)
     recordings: list[np.ndarray] = []
     current: list[float] = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text:
-                if current:
-                    recordings.append(np.asarray(current))
-                    current = []
-                continue
-            fields = text.split()
-            if len(fields) != 13:
-                raise IngestionError(
-                    f"{path.name}:{lineno}: expected 13 values, "
-                    f"got {len(fields)} (recording {len(recordings)}, "
-                    f"frame {len(current)})", line=lineno)
-            try:
-                current.append(float(fields[0]))
-            except ValueError:
-                raise IngestionError(
-                    f"{path.name}:{lineno}: cannot parse frame",
-                    line=lineno) from None
+    for lineno, raw in enumerate(_text_lines(path), start=1):
+        text = raw.strip()
+        if not text:
+            if current:
+                recordings.append(np.asarray(current))
+                current = []
+            continue
+        fields = text.split()
+        if len(fields) != 13:
+            raise IngestionError(
+                f"{path.name}:{lineno}: expected 13 values, "
+                f"got {len(fields)} (recording {len(recordings)}, "
+                f"frame {len(current)})", line=lineno)
+        try:
+            current.append(float(fields[0]))
+        except ValueError:
+            raise IngestionError(
+                f"{path.name}:{lineno}: cannot parse frame",
+                line=lineno) from None
     if current:
         recordings.append(np.asarray(current))
     if not recordings:
@@ -340,25 +350,37 @@ def gen_synthetic_classification(n_classes: int = 10, per_class: int = 50,
         raise ParameterError("need at least 2 classes")
     if per_class < 1 or length < 8:
         raise ParameterError("per_class must be >= 1 and length >= 8")
+    if not 0 <= bandwidth < np.inf:
+        raise ParameterError(f"bandwidth must be finite and >= 0, got {bandwidth}")
     if test_per_class is None:
         test_per_class = max(2, per_class // 5)
     centers = [0.5 * (c + 1) / (n_classes + 1) for c in range(n_classes)]
-
-    def recording(label: int, index: int) -> np.ndarray:
-        rng = make_rng(seed, label, index)
-        t = np.arange(length)
-        series = np.zeros(length)
-        for _ in range(3):
-            f = centers[label] + rng.uniform(-bandwidth, bandwidth)
-            amp = rng.uniform(0.5, 1.0)
-            series += amp * np.cos(2.0 * np.pi * f * t + rng.uniform(0, 2 * np.pi))
-        series += rng.normal(0.0, noise_sigma, length)
-        return normalize_series(series)
-
-    train = {c: [recording(c, i) for i in range(per_class)]
-             for c in range(n_classes)}
-    test = {c: [recording(c, per_class + i) for i in range(test_per_class)]
-            for c in range(n_classes)}
+    t = np.arange(length)
+    count = per_class + max(test_per_class, 0)
+    # Each recording draws from its own generator, in the order of three
+    # uniform (frequency, amplitude, phase) triples and then its noise; the
+    # uniforms are mapped as ``rng.uniform`` maps them, ``low + (high -
+    # low) * U``. A class's recordings are then summed as one array; all
+    # classes at once would raise the peak memory of a benchmark member.
+    low = np.array([-bandwidth, 0.5, 0.0])
+    span = np.array([bandwidth - -bandwidth, 1.0 - 0.5, 2 * np.pi - 0.0])
+    train, test = {}, {}
+    for label in range(n_classes):
+        draws = np.empty((count, 3, 3))
+        noise = np.empty((count, length))
+        for index in range(count):
+            rng = make_rng(seed, label, index)
+            rng.random(out=draws[index])
+            noise[index] = rng.normal(0.0, noise_sigma, length)
+        f, amp, phase = (low + span * draws).transpose(2, 0, 1)
+        f = centers[label] + f
+        series = np.zeros((count, length))
+        for k in range(3):
+            series += amp[:, k, None] * np.cos(
+                2.0 * np.pi * f[:, k, None] * t + phase[:, k, None])
+        series += noise
+        recordings = list(normalize_series(series))
+        train[label], test[label] = recordings[:per_class], recordings[per_class:]
     return TaskBundle(
         name="synthetic-classification",
         train=train,

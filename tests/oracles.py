@@ -5,7 +5,10 @@ characteristic polynomial comes from trace power sums, least squares from
 extended-precision arithmetic, reservoir trajectories from scalar
 recursions written out longhand, closed-loop forecasts one rollout and
 one step at a time, memory capacity one delay and one solve at a time, and
-cycle densities from an explicit enumeration of short cycles.
+cycle densities from an explicit enumeration of short cycles. The bulk
+kernels are checked bitwise against the per-series loops they replaced:
+the recurrence as one ``W @ x`` expression per step, class scores as one
+``nrmse`` call per class, and synthetic recordings built one at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
 
-from esnkit.esn import _DENSE_CUTOFF
+from esnkit.esn import _DENSE_CUTOFF, _one_step_blocks
+from esnkit.metrics import nrmse
+from esnkit.reservoirs import make_rng
 
 
 def charpoly_coeffs(A: np.ndarray) -> np.ndarray:
@@ -185,3 +190,55 @@ def memory_capacity_longhand(states: np.ndarray, drive: np.ndarray,
         if len(coeffs) >= 5 and max(coeffs[-5:]) < 1e-3:
             break
     return np.asarray(coeffs)
+
+
+def teacher_forced_states_loop(reservoir, inputs, teacher=None,
+                               activation: str = "tanh", *,
+                               sparse: bool) -> np.ndarray:
+    """States of a teacher-forced run, one step at a time through
+    ``W @ x`` as its own expression: the dense ``x @ W.T`` or, with
+    ``sparse``, the CSR ``(W @ x.T).T``, then the feed added, then the
+    activation (``tanh`` or ``identity``) returning a new array."""
+    u = np.asarray(inputs, dtype=float)
+    feed = u[..., None] * reservoir.w_in
+    if teacher is not None and np.any(reservoir.w_ofb != 0.0):
+        y = np.asarray(teacher, dtype=float)
+        y_prev = np.concatenate([np.zeros_like(y[:1]), y[:-1]])
+        feed += y_prev[..., None] * reservoir.w_ofb
+    f = np.tanh if activation == "tanh" else (lambda z: z)
+    W = sp.csr_matrix(reservoir.W) if sparse else reservoir.W.toarray()
+    states = np.empty_like(feed)
+    x = np.zeros(feed.shape[1:])
+    for t in range(len(feed)):
+        x = f(((W @ x.T).T if sparse else x @ W.T) + feed[t])
+        states[t] = x
+    return states
+
+
+def synthetic_recording(seed, label: int, index: int, center: float,
+                        length: int, bandwidth: float,
+                        noise_sigma: float) -> np.ndarray:
+    """One recording of the synthetic classification task, built alone:
+    three cosines of ``rng.uniform`` frequency offset, amplitude and phase
+    plus Gaussian noise, shifted and scaled by its own mean and standard
+    deviation."""
+    rng = make_rng(seed, label, index)
+    t = np.arange(length)
+    series = np.zeros(length)
+    for _ in range(3):
+        f = center + rng.uniform(-bandwidth, bandwidth)
+        amp = rng.uniform(0.5, 1.0)
+        series += amp * np.cos(2.0 * np.pi * f * t + rng.uniform(0, 2 * np.pi))
+    series += rng.normal(0.0, noise_sigma, length)
+    return (series - series.mean()) / float(series.std())
+
+
+def class_scores_loop(readouts, recordings, reservoir, washout: int):
+    """``(label, per-class errors)`` of each recording, one ``nrmse`` call
+    per class readout."""
+    results = []
+    for design, target in _one_step_blocks(reservoir, recordings, washout):
+        scores = {label: nrmse(design @ readouts[label], target, design[:, -1])
+                  for label in sorted(readouts)}
+        results.append((min(scores, key=scores.__getitem__), scores))
+    return results

@@ -5,8 +5,11 @@ import inspect
 import io
 import json
 import multiprocessing
+import os
 import pickle
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -153,11 +156,19 @@ class TestErrors:
           "cycle_density": {"2": True}}, "cycle_density"),
         ({"family": "CYCLE", "n": 20, "connectivity": 0.3,
           "cycle_density": {"2": 0.5, "02": 0.3}}, "cycle_density"),
+        ({"family": "CYCLE", "n": 20, "connectivity": 0.3,
+          "cycle_density": {"1_0": 0.3}}, "cycle_density"),
+        ({"family": "CYCLE", "n": 20, "connectivity": 0.3,
+          "cycle_density": {" 2": 0.3}}, "cycle_density"),
+        ({"family": "CYCLE", "n": 20, "connectivity": 0.3,
+          "cycle_density": {"+2": 0.3}}, "cycle_density"),
     ], ids=["cycle_density_key", "normalization_value", "normalization_string",
             "string_n", "int_family", "string_feedback", "bool_norm_value",
             "single_node_er", "sf_max_rounds", "sf_degrees_round_to_zero",
             "cycle_longer_than_n", "string_cycle_density",
-            "bool_cycle_density", "duplicate_cycle_length"])
+            "bool_cycle_density", "duplicate_cycle_length",
+            "underscore_cycle_length", "spaced_cycle_length",
+            "signed_cycle_length"])
     def test_malformed_reservoir_value(self, tmp_path, capsys, reservoir, key):
         cfg = write_config(tmp_path, "g.json", {"reservoir": reservoir})
         assert run_cli("generate", "-c", cfg, "-o", tmp_path / "o") == 2
@@ -596,6 +607,56 @@ class TestErrors:
         err = self.single_error_line(capsys)
         assert err["error"] == "IngestionError"
         assert "laser.txt:3" in err["message"]
+
+    @staticmethod
+    def run_in_child(*args) -> tuple[int, dict]:
+        """Exit status and the one JSON error line of the CLI run in a
+        fresh interpreter, so that a crash fails the test, not pytest."""
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "esnkit.cli", *map(str, args)], env=env,
+            capture_output=True, text=True, timeout=120)
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1, proc.stderr
+        return proc.returncode, json.loads(lines[0])
+
+    _MTX_HEADER = b"%%MatrixMarket matrix coordinate real general\n3 3 1\n"
+
+    def test_mtx_nul_byte(self, tmp_path):
+        # scipy's mmread segfaulted on this file (exit 139).
+        path = tmp_path / "w.mtx"
+        path.write_bytes(self._MTX_HEADER + b"1 2 0.5\0\n")
+        code, err = self.run_in_child("spectrum", path, "-o", tmp_path / "o")
+        assert (code, err["error"]) == (3, "IngestionError")
+        assert "NUL byte" in err["message"]
+
+    def test_mtx_index_overflow(self, tmp_path):
+        # mmread raises OverflowError here, which escaped as a traceback.
+        path = tmp_path / "w.mtx"
+        path.write_bytes(self._MTX_HEADER + b"1 99999999999999999999 0.5\n")
+        code, err = self.run_in_child("spectrum", path, "-o", tmp_path / "o")
+        assert (code, err["error"]) == (3, "IngestionError")
+        assert "w.mtx" in err["message"]
+
+    @pytest.mark.parametrize("task", ["laser", "arabic-digits"])
+    def test_non_utf8_task_file(self, tmp_path, task):
+        # Iterating the open file raised UnicodeDecodeError, a traceback.
+        path = tmp_path / "data.txt"
+        if task == "laser":
+            path.write_bytes(b"1\n2\n\xff3\n")
+            section = {"name": "laser", "path": str(path)}
+        else:
+            path.write_bytes(b" ".join([b"0.5"] * 12 + [b"\xff1"]) + b"\n")
+            section = {"name": "arabic-digits", "train_path": str(path),
+                       "test_path": str(path)}
+        cfg = write_config(tmp_path, "b.json", {
+            "task": section, "reservoir": {"family": "ER", "n": 20}})
+        code, err = self.run_in_child("benchmark", "-c", cfg, "-o",
+                                      tmp_path / "o", "--workers", 1)
+        assert (code, err["error"]) == (3, "IngestionError")
+        assert "data.txt" in err["message"] and "UTF-8" in err["message"]
 
     def test_config_path_is_a_directory(self, tmp_path, capsys):
         assert run_cli("generate", "-c", tmp_path, "-o", tmp_path / "o") == 2

@@ -3,7 +3,9 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.sparse import _sparsetools
 
+from esnkit import esn
 from esnkit.errors import (
     DimensionError,
     DomainError,
@@ -26,7 +28,13 @@ from esnkit.reservoirs import (
     gen_delay_line,
     gen_er,
 )
-from oracles import highprec_ridge, ring_states
+from esnkit.tasks import gen_synthetic_classification
+from oracles import (
+    class_scores_loop,
+    highprec_ridge,
+    ring_states,
+    teacher_forced_states_loop,
+)
 
 import scipy.sparse as sp
 
@@ -202,6 +210,48 @@ class TestSparseDrive:
             want[t] = x
         assert_allclose(run_teacher_forced(res, u).states, want,
                         rtol=0, atol=1e-13)
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestRecurrenceKernel:
+    """The step on preallocated buffers is bitwise the one-expression step
+    it replaced, on either product (forced with ``_DENSE_CUTOFF``)."""
+
+    @pytest.mark.parametrize("teacher", [False, True],
+                             ids=["no-teacher", "feedback-teacher"])
+    @pytest.mark.parametrize("activation", ["tanh", "identity"])
+    @pytest.mark.parametrize("shape", [(120,), (120, 4)],
+                             ids=["single", "batch"])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_bitwise_equal_to_step_loop(self, rng, monkeypatch, sparse, shape,
+                                        activation, teacher):
+        monkeypatch.setattr(esn, "_DENSE_CUTOFF", 0 if sparse else 10 ** 6)
+        res = gen_er(40, 6, seed=7, feedback=True,
+                     normalization=Normalization("spectral_radius", 0.9))
+        u = rng.uniform(-1, 1, shape)
+        y = rng.uniform(-1, 1, shape) if teacher else None
+        run = run_teacher_forced(res, u, teacher=y, activation=activation)
+        assert_bitwise(run.states, teacher_forced_states_loop(
+            res, u, y, activation, sparse=sparse))
+
+    @pytest.mark.parametrize("shape", [(50,), (50, 3)],
+                             ids=["single", "batch"])
+    def test_sparsetools_kernels_are_the_csr_product(self, rng, shape):
+        # The CSR step calls these private scipy kernels directly; a scipy
+        # that renames them or changes their summation fails here.
+        W = sp.csr_matrix(gen_er(50, 8, seed=2).W)
+        x = rng.standard_normal(shape)
+        out = np.zeros(shape)
+        if len(shape) == 1:
+            _sparsetools.csr_matvec(50, 50, W.indptr, W.indices, W.data,
+                                    x, out)
+        else:
+            _sparsetools.csr_matvecs(50, 50, shape[1], W.indptr, W.indices,
+                                     W.data, x.ravel(), out.ravel())
+        assert_bitwise(out, W @ x)
 
 
 class TestTrainReadout:
@@ -453,3 +503,15 @@ class TestClassification:
         failures = sum(best != label
                        for (label, _), (best, _) in zip(tests, results))
         assert failures / len(tests) <= 0.1
+
+
+def test_class_scores_bitwise_equal_to_per_class_calls(rng):
+    bundle = gen_synthetic_classification(4, 6, 30, seed=3, test_per_class=3)
+    res = gen_er(20, 4, seed=1)
+    readouts = train_class_readouts(bundle.train, res)
+    recordings = [s for label in sorted(bundle.test)
+                  for s in bundle.test[label]] + [rng.standard_normal(25)]
+    got = score_against_classes(readouts, recordings, res)
+    assert all(type(v) is float for _, scores in got for v in scores.values())
+    # Floats print exactly, so equal reprs are equal bits.
+    assert repr(got) == repr(class_scores_loop(readouts, recordings, res, 5))

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from esnkit.errors import (
     ConstantSeriesError,
     DimensionError,
+    DomainError,
     ParameterError,
     SingularDesignError,
 )
@@ -64,6 +65,35 @@ class TestNrmse:
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             nrmse(np.zeros(4), np.zeros(5), np.ones(5))
+
+    @pytest.mark.parametrize("T", [2, 7, 40, 129])
+    def test_stack_rows_are_single_calls(self, rng, T):
+        preds = rng.standard_normal((5, T))
+        preds[3, 0] = np.inf
+        target, normalizer = rng.standard_normal((2, T))
+        scores = nrmse(preds, target, normalizer)
+        assert isinstance(scores, np.ndarray) and scores.shape == (5,)
+        singles = [nrmse(p, target, normalizer) for p in preds]
+        assert all(type(v) is float for v in singles)
+        # Floats print exactly, so equal reprs are equal bits.
+        assert repr(scores.tolist()) == repr(singles)
+
+    @pytest.mark.parametrize("predicted, target, normalizer, error", [
+        (np.zeros((3, 4)), np.zeros(5), np.arange(5.0), DimensionError),
+        (np.zeros((2, 3, 5)), np.zeros(5), np.arange(5.0), DimensionError),
+        (np.zeros((3, 5)), np.zeros((3, 5)), np.arange(5.0), DimensionError),
+        (np.zeros((3, 1)), np.zeros(1), np.arange(5.0), DimensionError),
+        (np.zeros((3, 5)), [0, 1, np.nan, 0, 1], np.arange(5.0), DomainError),
+        (np.zeros((3, 5)), np.zeros(5), [0, 1, np.inf], DomainError),
+        (np.zeros((3, 5)), np.zeros(5), np.ones(5), ConstantSeriesError),
+    ], ids=["row-length", "three-d", "stacked-target", "one-sample",
+            "non-finite-target", "non-finite-normalizer", "constant"])
+    def test_stack_checks(self, predicted, target, normalizer, error):
+        with pytest.raises(error):
+            nrmse(predicted, target, normalizer)
+        if np.ndim(predicted) == 2 and np.ndim(target) == 1:
+            with pytest.raises(error):
+                nrmse(predicted[0], target, normalizer)
 
 
 class TestMemoryCapacity:

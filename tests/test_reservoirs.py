@@ -269,6 +269,17 @@ class TestCycleEnhanced:
         res = gen_combined(20, 0.3, {np.int64(2): np.float32(0.5)}, seed=0)
         assert res.meta.target_cycle_density == {2: 0.5}
 
+    @pytest.mark.parametrize("key", ["1_0", " 2", "+2", "2 ", "\uff12", 2.7,
+                                     2.0, True])
+    def test_length_key_not_an_integer(self, key):
+        with pytest.raises(ParameterError, match="cycle_density"):
+            gen_combined(20, 0.3, {key: 0.3}, seed=0)
+
+    @pytest.mark.parametrize("key", [2, "2", "02", np.int32(2)])
+    def test_length_key_spellings(self, key):
+        res = gen_combined(20, 0.3, {key: 0.3}, seed=0)
+        assert res.meta.target_cycle_density == {2: 0.3}
+
     def test_determinism(self):
         a = gen_combined(120, 0.1, {1: 0.3, 2: 0.2}, seed=8)
         b = gen_combined(120, 0.1, {1: 0.3, 2: 0.2}, seed=8)

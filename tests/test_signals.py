@@ -151,6 +151,19 @@ class TestNormalizeResample:
         with pytest.raises(ConstantSeriesError):
             normalize_series(np.full(10, 4.0))
 
+    @pytest.mark.parametrize("length", [2, 9, 40, 129])
+    def test_stack_rows_are_single_calls(self, rng, length):
+        stack = rng.uniform(-3, 7, (6, length))
+        rows = normalize_series(stack)
+        assert rows.tobytes() == np.stack(
+            [normalize_series(row) for row in stack]).tobytes()
+
+    def test_constant_row_rejected(self, rng):
+        stack = rng.standard_normal((3, 10))
+        stack[1] = 4.0
+        with pytest.raises(ConstantSeriesError):
+            normalize_series(stack)
+
     def test_resample_two_to_three(self):
         assert_allclose(resample_to_length(np.array([1.0, 3.0]), 3),
                         [1.0, 2.0, 3.0])

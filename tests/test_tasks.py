@@ -13,6 +13,7 @@ from esnkit.tasks import (
     mackey_glass_bundle,
     sine_mixture_bundle,
 )
+from oracles import synthetic_recording
 
 
 class TestMackeyGlass:
@@ -232,3 +233,28 @@ class TestSyntheticClassification:
     def test_class_count_bound(self):
         with pytest.raises(ParameterError):
             gen_synthetic_classification(1, 5, 40, seed=0)
+
+    @pytest.mark.parametrize("bandwidth", [-0.01, np.inf, np.nan])
+    def test_bandwidth_bound(self, bandwidth):
+        with pytest.raises(ParameterError, match="bandwidth"):
+            gen_synthetic_classification(2, 3, 8, seed=0, bandwidth=bandwidth)
+
+    @pytest.mark.parametrize("n_classes, per_class, length, seed, test_count", [
+        (10, 50, 40, 0, 10), (2, 3, 8, 5, None), (3, 7, 41, [3, 4], 3),
+        (4, 1, 127, 123456789, 2), (2, 4, 9, 11, 0)])
+    def test_bitwise_equal_to_recording_builder(self, n_classes, per_class,
+                                                length, seed, test_count):
+        bundle = gen_synthetic_classification(
+            n_classes, per_class, length, seed, test_per_class=test_count,
+            bandwidth=0.05, noise_sigma=0.7)
+        if test_count is None:
+            test_count = max(2, per_class // 5)
+        for label, center in enumerate(bundle.meta["centers"]):
+            assert len(bundle.train[label]) == per_class
+            assert len(bundle.test[label]) == test_count
+            built = bundle.train[label] + bundle.test[label]
+            for index, recording in enumerate(built):
+                want = synthetic_recording(seed, label, index, center, length,
+                                           0.05, 0.7)
+                assert recording.shape == want.shape
+                assert recording.tobytes() == want.tobytes()

@@ -1,4 +1,5 @@
-"""Time the layers of the n=400 memory pipeline at one BLAS thread.
+"""Time the layers of the n=400 memory pipeline and of the classification
+path at one BLAS thread.
 
     python3 tools/layer_bench.py [--root CHECKOUT] [--label NAME]
 
@@ -9,12 +10,19 @@ Times, with every loaded OpenBLAS on one thread (as ``esnkit memory`` and
   n=400 (ER, average degree 20, spectral radius 1), as steps per second;
 - ``memory_capacity_from_states`` on the n=400 run, with ``tau_max`` 800 and
   the first 800 steps skipped, as ``esnkit memory`` calls it;
-- ``spectral.eigenvalues`` of the n=100 and n=400 matrices.
+- ``spectral.eigenvalues`` of the n=100 and n=400 matrices;
+- the classification path of the benchmark's ``classify_pool`` task
+  (10 classes of 50 training and 10 test recordings of length 40, noise
+  1.0, seed 0) on an n=100 ER reservoir of the task's defaults:
+  ``gen_synthetic_classification`` building the bundle,
+  ``train_class_readouts`` on the 500 training recordings, and
+  ``score_against_classes`` on the 100 test recordings, as recordings per
+  second.
 
 Each layer runs ``REPEATS`` times after one warm-up call; the minimum and the
 median are printed with the CPU count and the BLAS thread counts. The row is
 stored under ``--label`` (default: the timed checkout's directory name) in
-``BENCH_15.json`` at the root of the checkout holding this script, replacing
+``BENCH_21.json`` at the root of the checkout holding this script, replacing
 a row of the same label, so runs on a parent checkout and on this one give
 the before and after rows. ``--root`` names the checkout whose ``src`` is
 timed (default: the one holding this script).
@@ -33,7 +41,10 @@ from pathlib import Path
 REPEATS = 15
 T = 4000
 TAU_MAX = 800
-OUT = Path(__file__).resolve().parents[1] / "BENCH_15.json"
+OUT = Path(__file__).resolve().parents[1] / "BENCH_21.json"
+#: The synthetic task of the benchmark's classify_pool workload.
+CLASSIFY_TASK = {"n_classes": 10, "per_class": 50, "test_per_class": 10,
+                 "length": 40, "noise_sigma": 1.0, "seed": 0}
 
 
 def _timed(call, work: float = 1.0, **extra) -> dict:
@@ -53,11 +64,14 @@ def _timed(call, work: float = 1.0, **extra) -> dict:
 def measure() -> dict:
     import numpy as np
 
+    from esnkit.benchmarks import er_reservoir_for
     from esnkit.cli import _openblas_thread_controls, _single_blas_thread
-    from esnkit.esn import run_teacher_forced
+    from esnkit.esn import (run_teacher_forced, score_against_classes,
+                            train_class_readouts)
     from esnkit.metrics import memory_capacity_from_states
     from esnkit.reservoirs import gen_er
     from esnkit.spectral import eigenvalues
+    from esnkit.tasks import gen_synthetic_classification
 
     drive = np.random.default_rng(0).uniform(-1.0, 1.0, T)
     layers = {}
@@ -77,6 +91,25 @@ def measure() -> dict:
             lambda: memory_capacity_from_states(states, drive, TAU_MAX,
                                                 start=TAU_MAX),
             unit="calls", delays=profile.tau_max_used)
+
+        def bundle():
+            return gen_synthetic_classification(**CLASSIFY_TASK)
+
+        task = bundle()
+        res = er_reservoir_for(task, [0, 0])
+        tests = [s for label in sorted(task.test) for s in task.test[label]]
+        n_train = sum(len(recs) for recs in task.train.values())
+        readouts = train_class_readouts(task.train, res, washout=task.washout)
+        layers["synthetic_classification_bundle"] = _timed(
+            bundle, n_train + len(tests), unit="recordings")
+        layers["train_class_readouts_n100"] = _timed(
+            lambda: train_class_readouts(task.train, res,
+                                         washout=task.washout),
+            n_train, unit="recordings")
+        layers["score_against_classes_n100"] = _timed(
+            lambda: score_against_classes(readouts, tests, res,
+                                          washout=task.washout),
+            len(tests), unit="recordings")
     return {"nproc": os.cpu_count(), "blas_threads": threads,
             "default_blas_threads": default_threads,
             "repeats": REPEATS, "layers": layers}
