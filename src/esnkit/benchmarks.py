@@ -9,6 +9,7 @@ import inspect
 
 import numpy as np
 
+from .errors import ParameterError
 from .esn import (
     forecast_free_run,
     run_teacher_forced,
@@ -93,7 +94,10 @@ def forecast_benchmark(bundle: TaskBundle, reservoir: Reservoir) -> float:
 
 
 def classification_benchmark(bundle: TaskBundle, reservoir: Reservoir) -> float:
-    """Failure rate of classification-by-forecasting over a bundle's test set."""
+    """Failure rate of classification-by-forecasting over a bundle's test
+    set, which must not be empty."""
+    if not any(bundle.test.values()):
+        raise ParameterError(f"task {bundle.name!r} has no test recordings")
     readouts = train_class_readouts(bundle.train, reservoir,
                                     washout=bundle.washout)
     labels = [label for label in sorted(bundle.test) for _ in bundle.test[label]]

@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -40,7 +39,6 @@ from .errors import (
     ConfigError,
     DataError,
     EsnKitError,
-    IngestionError,
     ParameterError,
 )
 from .metrics import bin_by_lambda, memory_capacity
@@ -59,7 +57,7 @@ from .storage import (
     spectrum_to_dict,
     write_json,
 )
-from .tasks import _make_task
+from .tasks import _make_task, read_series
 
 
 # ---------------------------------------------------------------------------
@@ -120,18 +118,8 @@ def _at_least_one(**fields) -> None:
 
 
 def _read_series(path) -> np.ndarray:
-    """A one-value-per-line series file of at least ``_MIN_SAMPLES`` values
-    as a 1-D array."""
-    try:
-        with warnings.catch_warnings():
-            # An empty file warns; the length check below reports it.
-            warnings.simplefilter("ignore", UserWarning)
-            column = np.loadtxt(path, ndmin=2)
-    except ValueError as exc:
-        raise IngestionError(f"{path}: {exc}") from exc
-    if column.shape[1] != 1 or not np.isfinite(column).all():
-        raise DataError(f"{path}: series must be one finite value per line")
-    series = column[:, 0]
+    """A ``tasks.read_series`` file of at least ``_MIN_SAMPLES`` values."""
+    series = read_series(path)
     if len(series) < _MIN_SAMPLES:
         raise ParameterError(f"{path}: a series file needs at least "
                              f"{_MIN_SAMPLES} values, got {len(series)}")
@@ -267,10 +255,9 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _memory_member(payload) -> dict:
-    """One ensemble member's ``memory.json`` row; top-level for process
-    pools."""
-    reservoir, seed_base, member, T, tau_max, input_kind, chash = payload
+def _memory_member(reservoir: dict, *, seed_base: int, member: int, T: int,
+                   tau_max: int | None, input_kind: str, chash: str) -> dict:
+    """One ensemble member's ``memory.json`` row."""
     built = reservoir_from_config(reservoir, [seed_base, member])
     profile = memory_capacity(built, T=T, tau_max=tau_max,
                               seed=[seed_base, member, 1],
@@ -291,9 +278,10 @@ def cmd_memory(args, outdir: Path, cfg: dict, *, reservoir: dict,
     chash = config_hash(cfg)
     # Serial on purpose: at n=400 a forked pool of two ran the members 40%
     # faster, but its two children together held 2.3 times the peak RSS.
-    rows = _run_members(_memory_member, [
-        (reservoir, seed_base, member, T, tau_max, input_kind, chash)
-        for member in range(ensemble)], workers=1)
+    with _single_blas_thread():
+        rows = [_memory_member(reservoir, seed_base=seed_base, member=member,
+                               T=T, tau_max=tau_max, input_kind=input_kind,
+                               chash=chash) for member in range(ensemble)]
     write_json({"config_hash": chash, "members": rows}, outdir / "memory.json")
     with open(outdir / "memory.csv", "w") as fh:
         fh.write(f"# config_hash={chash}\n")

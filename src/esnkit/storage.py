@@ -57,7 +57,8 @@ def save_matrix(W, path) -> None:
 def load_matrix(path) -> sp.csr_array:
     """Read a ``.mtx`` or ``.csv`` matrix file. A NUL byte is an
     ``IngestionError`` before any parser sees the bytes (``mmread`` can
-    crash the interpreter on one)."""
+    crash the interpreter on one), and a ``.mtx`` file without a final
+    newline gets one."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"matrix file not found: {path}")
@@ -69,6 +70,10 @@ def load_matrix(path) -> sp.csr_array:
         raise IngestionError(f"{path.name}: NUL byte at offset {nul}")
     try:
         if path.suffix == ".mtx":
+            # mmread reads past the end of a last line that has no newline
+            # but trailing bytes, and crashes the interpreter.
+            if not data.endswith(b"\n"):
+                data += b"\n"
             W = sp.csr_array(sp.coo_array(scipy.io.mmread(io.BytesIO(data))))
         else:
             W = sp.csr_array(np.atleast_2d(np.loadtxt(io.BytesIO(data),

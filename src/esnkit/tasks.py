@@ -24,6 +24,7 @@ __all__ = [
     "TaskBundle",
     "gen_mackey_glass",
     "mackey_glass_bundle",
+    "read_series",
     "load_laser",
     "gen_sine_mixture",
     "sine_mixture_bundle",
@@ -171,23 +172,24 @@ def mackey_glass_bundle(seed: SeedLike = 0, length: int = 10000,
 # ---------------------------------------------------------------------------
 
 def _laser_split(n_points: int) -> tuple[int, int, int]:
+    """The washout/train/test split; a short series raises before it warns."""
     if n_points == LASER_POINTS:
         return LASER_SPLIT
+    w = int(round(n_points * LASER_SPLIT[0] / LASER_POINTS))
+    tr = int(round(n_points * LASER_SPLIT[1] / LASER_POINTS))
+    if tr < 2 or n_points - w - tr < 2:
+        raise IngestionError(f"series too short to split: {n_points} samples")
     warnings.warn(
         f"expected {LASER_POINTS} samples, found {n_points}; "
         "splitting proportionally", stacklevel=3)
-    w = int(round(n_points * LASER_SPLIT[0] / LASER_POINTS))
-    tr = int(round(n_points * LASER_SPLIT[1] / LASER_POINTS))
     return w, tr, n_points - w - tr
 
 
 def _laser_bundle_from_series(series: np.ndarray, name: str,
                               meta: dict) -> TaskBundle:
+    washout, n_train, n_test = _laser_split(len(series))
     series = normalize_series(series)
     series = gaussian_smooth(series, window_len=3, sigma=1.0)
-    washout, n_train, n_test = _laser_split(len(series))
-    if n_test < 2 or n_train < 2:
-        raise IngestionError(f"series too short to split: {len(series)} samples")
     return TaskBundle(
         name=name,
         train=series[:washout + n_train],
@@ -212,29 +214,43 @@ def _text_lines(path: Path) -> list[str]:
     return io.StringIO(text, newline=None).readlines()
 
 
-def load_laser(path) -> TaskBundle:
-    """Load a one-integer-per-line intensity record and build the
-    one-step forecasting task (normalize, 3-tap Gaussian smoothing,
-    1000/4547/4546 washout/train/test split)."""
+def _number(token: str, path: Path, lineno: int) -> float:
+    """``token`` read by the one number rule of esnkit's text files: ``float``
+    reads it, it is ASCII, holds no ``_`` and is finite; anything else is an
+    ``IngestionError`` that names ``path:lineno``."""
+    try:
+        value = float(token) if token.isascii() and "_" not in token else None
+    except ValueError:
+        value = None
+    if value is None or not np.isfinite(value):
+        problem = "cannot parse" if value is None else "non-finite value"
+        raise IngestionError(f"{path.name}:{lineno}: {problem} {token!r}",
+                             line=lineno)
+    return value
+
+
+def read_series(path) -> np.ndarray:
+    """The values of a text file with one number on each non-blank line,
+    each read by ``_number``'s rule."""
     path = Path(path)
     values = []
     for lineno, raw in enumerate(_text_lines(path), start=1):
-        text = raw.strip()
-        if not text:
-            continue
-        try:
-            values.append(float(text))
-        except ValueError:
-            raise IngestionError(
-                f"{path.name}:{lineno}: cannot parse {text!r}",
-                line=lineno) from None
-        if not np.isfinite(values[-1]):
-            raise IngestionError(f"{path.name}:{lineno}: non-finite "
-                                 f"sample {text!r}", line=lineno)
-    if not values:
-        raise IngestionError(f"{path.name}: file contains no samples")
-    return _laser_bundle_from_series(np.asarray(values), "laser",
-                                     {"path": str(path)})
+        tokens = raw.split()
+        if len(tokens) > 1:
+            raise IngestionError(f"{path.name}:{lineno}: a series file holds "
+                                 f"one finite value per line", line=lineno)
+        values += [_number(token, path, lineno) for token in tokens]
+    return np.asarray(values, dtype=float)
+
+
+def load_laser(path) -> TaskBundle:
+    """Load a one-number-per-line intensity record (``read_series``) and
+    build the one-step forecasting task (normalize, 3-tap Gaussian
+    smoothing, 1000/4547/4546 washout/train/test split)."""
+    series = read_series(path)
+    if not series.size:
+        raise IngestionError(f"{Path(path).name}: file contains no samples")
+    return _laser_bundle_from_series(series, "laser", {"path": str(path)})
 
 
 def gen_sine_mixture(length: int = 10093, seed: SeedLike = 0,
@@ -269,38 +285,35 @@ def sine_mixture_bundle(seed: SeedLike = 0, length: int = 10093,
 
 def _parse_mfcc_blocks(path) -> list[np.ndarray]:
     """Recordings are blocks of frame lines of 13 cepstral channels,
-    separated by blank lines; only the first channel is kept."""
+    separated by blank lines; only the first channel is kept, read by
+    ``_number``'s rule, and each recording holds at least 2 frames."""
     path = Path(path)
     recordings: list[np.ndarray] = []
     current: list[float] = []
-    for lineno, raw in enumerate(_text_lines(path), start=1):
-        text = raw.strip()
-        if not text:
-            if current:
-                recordings.append(np.asarray(current))
-                current = []
-            continue
-        fields = text.split()
-        if len(fields) != 13:
+    # A blank line, and the end of the file, closes a recording.
+    for lineno, raw in enumerate(_text_lines(path) + [""], start=1):
+        fields = raw.split()
+        if fields:
+            if len(fields) != 13:
+                raise IngestionError(
+                    f"{path.name}:{lineno}: expected 13 values, "
+                    f"got {len(fields)} (recording {len(recordings)}, "
+                    f"frame {len(current)})", line=lineno)
+            current.append(_number(fields[0], path, lineno))
+        elif len(current) == 1:
             raise IngestionError(
-                f"{path.name}:{lineno}: expected 13 values, "
-                f"got {len(fields)} (recording {len(recordings)}, "
-                f"frame {len(current)})", line=lineno)
-        try:
-            current.append(float(fields[0]))
-        except ValueError:
-            raise IngestionError(
-                f"{path.name}:{lineno}: cannot parse frame",
-                line=lineno) from None
-    if current:
-        recordings.append(np.asarray(current))
+                f"{path.name}:{lineno - 1}: recording {len(recordings)} "
+                f"has fewer than 2 frames", line=lineno - 1)
+        elif current:
+            recordings.append(np.asarray(current))
+            current = []
     if not recordings:
         raise IngestionError(f"{path.name}: no recordings found")
     return recordings
 
 
-def _group_by_class(recordings: list[np.ndarray], n_classes: int,
-                    target_length: int) -> dict[int, list[np.ndarray]]:
+def _group_by_class(recordings: list[np.ndarray],
+                    n_classes: int) -> dict[int, list[np.ndarray]]:
     if len(recordings) % n_classes != 0:
         warnings.warn(
             f"{len(recordings)} recordings do not divide evenly into "
@@ -308,11 +321,7 @@ def _group_by_class(recordings: list[np.ndarray], n_classes: int,
     per_class = max(1, len(recordings) // n_classes)
     grouped: dict[int, list[np.ndarray]] = {c: [] for c in range(n_classes)}
     for idx, rec in enumerate(recordings):
-        label = min(idx // per_class, n_classes - 1)
-        if len(rec) < 2:
-            raise IngestionError(f"recording {idx} has fewer than 2 frames")
-        processed = resample_to_length(normalize_series(rec), target_length)
-        grouped[label].append(processed)
+        grouped[min(idx // per_class, n_classes - 1)].append(rec)
     return grouped
 
 
@@ -320,15 +329,15 @@ def load_arabic_digits(path_train, path_test, *, n_classes: int = 10,
                        target_length: int = 40) -> TaskBundle:
     """Load cepstral recordings (13 space-separated values per frame,
     blank-line-separated recordings, file ordered by digit), keep channel 1,
-    normalize each recording, and resample it to a common length."""
-    train = _group_by_class(_parse_mfcc_blocks(path_train), n_classes,
-                            target_length)
-    test = _group_by_class(_parse_mfcc_blocks(path_test), n_classes,
-                           target_length)
+    normalize each recording, and resample it to a common length. Both
+    files are read and every recording prepared before any warning."""
+    train, test = ([resample_to_length(normalize_series(rec), target_length)
+                    for rec in _parse_mfcc_blocks(path)]
+                   for path in (path_train, path_test))
     return TaskBundle(
         name="arabic-digits",
-        train=train,
-        test=test,
+        train=_group_by_class(train, n_classes),
+        test=_group_by_class(test, n_classes),
         washout=5,
         esn_defaults=EsnDefaults(n=100, avg_degree=10.0, alpha=1.0,
                                  feedback=False, horizon=1),
@@ -354,9 +363,11 @@ def gen_synthetic_classification(n_classes: int = 10, per_class: int = 50,
         raise ParameterError(f"bandwidth must be finite and >= 0, got {bandwidth}")
     if test_per_class is None:
         test_per_class = max(2, per_class // 5)
+    if test_per_class < 0:
+        raise ParameterError(f"test_per_class must be >= 0, got {test_per_class}")
     centers = [0.5 * (c + 1) / (n_classes + 1) for c in range(n_classes)]
     t = np.arange(length)
-    count = per_class + max(test_per_class, 0)
+    count = per_class + test_per_class
     # Each recording draws from its own generator, in the order of three
     # uniform (frequency, amplitude, phase) triples and then its noise; the
     # uniforms are mapped as ``rng.uniform`` maps them, ``low + (high -

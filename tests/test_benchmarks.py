@@ -133,6 +133,13 @@ class TestClassificationBenchmark:
         assert classification_benchmark(bundle, res) == \
             sum(failures) / len(failures)
 
+    def test_empty_test_set_is_a_parameter_error(self):
+        # The bundle builds; the failure rate of no recordings is undefined.
+        bundle = gen_synthetic_classification(2, 5, 20, seed=0,
+                                              test_per_class=0)
+        with pytest.raises(ParameterError, match="no test recordings"):
+            classification_benchmark(bundle, er_reservoir_for(bundle, seed=1))
+
 
 class TestCycleEvaluator:
     def test_per_seed_scores(self, small_sine_bundle):

@@ -427,7 +427,7 @@ class TestErrors:
                     "--cache-dir", tmp_path / "cache"]
         assert run_cli(*args, "-o", tmp_path / "o") == 3
         err = self.single_error_line(capsys)
-        assert err["error"] == "DataError"
+        assert err["error"] == "IngestionError"
         assert "one finite value per line" in err["message"]
         assert not (tmp_path / "cache").exists()
 
@@ -579,7 +579,7 @@ class TestErrors:
         path.write_text("0.1\n0.2\nnan\n0.4\n")
         assert run_cli("psd", "--input", path, "-o", tmp_path / "o") == 3
         err = self.single_error_line(capsys)
-        assert err["error"] == "DataError"
+        assert err["error"] == "IngestionError"
         assert "finite" in err["message"]
 
     def test_non_finite_adapt_signal(self, tmp_path, capsys):
@@ -591,7 +591,7 @@ class TestErrors:
         assert run_cli("adapt", "-c", cfg, "--signal", path, "-o",
                        tmp_path / "o", "--cache-dir", tmp_path / "cache") == 3
         err = self.single_error_line(capsys)
-        assert err["error"] == "DataError"
+        assert err["error"] == "IngestionError"
         assert "finite" in err["message"]
         # The series is read before any table work.
         assert not (tmp_path / "cache").exists()
@@ -607,6 +607,52 @@ class TestErrors:
         err = self.single_error_line(capsys)
         assert err["error"] == "IngestionError"
         assert "laser.txt:3" in err["message"]
+
+    def test_non_finite_psd_input_names_line(self, tmp_path, capsys):
+        path = tmp_path / "series.txt"
+        path.write_text("0.1\n0.2\nnan\n" + "0.4\n" * 8)
+        assert run_cli("psd", "--input", path, "-o", tmp_path / "o") == 3
+        err = self.single_error_line(capsys)
+        assert err["error"] == "IngestionError"
+        assert "series.txt:3" in err["message"]
+
+    @pytest.mark.parametrize("text", ["nan", "1_0"],
+                             ids=["nan", "underscore"])
+    def test_cepstral_first_channel(self, tmp_path, capsys, text):
+        # A NaN exited 2 from deep in the benchmark; 1_0 read as 10.0.
+        lines = []
+        for recording in [[0.5, 1.0], [2.0, 1.0]] * 5:
+            lines += [" ".join([str(v)] + ["0.25"] * 12)
+                      for v in recording] + [""]
+        lines[3] = " ".join([text] + ["0.25"] * 12)  # line 4
+        path = tmp_path / "train.txt"
+        path.write_text("\n".join(lines))
+        cfg = write_config(tmp_path, "b.json", {
+            "task": {"name": "arabic-digits", "train_path": str(path),
+                     "test_path": str(path)},
+            "reservoir": {"family": "ER", "n": 20}})
+        assert run_cli("benchmark", "-c", cfg, "-o", tmp_path / "o",
+                       "--workers", 1) == 3
+        err = self.single_error_line(capsys)
+        assert err["error"] == "IngestionError"
+        assert "train.txt:4" in err["message"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("test_per_class", [0, -1])
+    def test_empty_classification_test_set(self, tmp_path, capsys,
+                                           test_per_class, workers):
+        # Both exited 1 with a ZeroDivisionError traceback.
+        cfg = write_config(tmp_path, "b.json", {
+            "task": {"name": "synthetic-classification", "n_classes": 2,
+                     "per_class": 5, "test_per_class": test_per_class,
+                     "length": 20},
+            "reservoir": {"family": "ER", "n": 10, "avg_degree": 3}})
+        assert run_cli("benchmark", "-c", cfg, "-o", tmp_path / "o",
+                       "--workers", workers) == 2
+        err = self.single_error_line(capsys)
+        assert err["error"] == "ParameterError"
+        assert "test" in err["message"]
+        assert not (tmp_path / "o" / "manifest.json").exists()
 
     @staticmethod
     def run_in_child(*args) -> tuple[int, dict]:

@@ -11,6 +11,7 @@ from esnkit.tasks import (
     load_arabic_digits,
     load_laser,
     mackey_glass_bundle,
+    read_series,
     sine_mixture_bundle,
 )
 from oracles import synthetic_recording
@@ -135,6 +136,22 @@ class TestLaser:
             load_laser(path)
         assert err.value.line == 4
 
+    @pytest.mark.parametrize("text", ["1_0", "١٢", "1e999", "0x1", "1 2"],
+                             ids=["underscore", "arabic_indic", "overflow",
+                                  "hex", "two_values"])
+    def test_not_a_number_line_number(self, tmp_path, text):
+        # float() reads the first two as 10.0 and 12.0.
+        path = tmp_path / "bad.txt"
+        path.write_text(f"1\n2\n{text}\n4\n", encoding="utf-8")
+        with pytest.raises(IngestionError, match="bad.txt:3") as err:
+            load_laser(path)
+        assert err.value.line == 3
+
+    def test_too_short_to_split_without_warning(self, tmp_path, recwarn):
+        with pytest.raises(IngestionError, match="too short to split"):
+            load_laser(self.write_series(tmp_path, [1, 2, 3]))
+        assert [str(w.message) for w in recwarn] == []
+
     def test_sine_mixture_bundle_matches_laser_protocol(self):
         bundle = sine_mixture_bundle(seed=0)
         assert bundle.continuous
@@ -148,6 +165,31 @@ class TestLaser:
         assert_array_equal(a.train, b.train)
         assert_array_equal(a.test, b.test)
         assert a.meta["preprocessing"] == b.meta["preprocessing"]
+
+
+class TestReadSeries:
+    def test_values_blank_lines_and_line_endings(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_bytes(b" 0.5 \n\n-2\r\n1e-3\r\t\n3")
+        assert read_series(path).tolist() == [0.5, -2.0, 1e-3, 3.0]
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("\n \n")
+        assert read_series(path).shape == (0,)
+
+    @pytest.mark.parametrize("text, message", [
+        ("nan", "non-finite"), ("-inf", "non-finite"),
+        ("1 2", "one finite value per line"), ("# 1", "one finite value"),
+        ("1_0", "cannot parse"), ("١", "cannot parse"),
+        ("1,5", "cannot parse")])
+    def test_line_named(self, tmp_path, text, message):
+        path = tmp_path / "s.txt"
+        path.write_text(f"1\n\n{text}\n", encoding="utf-8")
+        with pytest.raises(IngestionError, match=message) as err:
+            read_series(path)
+        assert err.value.line == 3
+        assert str(err.value).startswith("s.txt:3: ")
 
 
 class TestArabicDigits:
@@ -200,6 +242,41 @@ class TestArabicDigits:
         with pytest.raises(IngestionError):
             load_arabic_digits(path, path)
 
+    @pytest.mark.parametrize("text", ["nan", "1_0", "١٢"],
+                             ids=["nan", "underscore", "arabic_indic"])
+    def test_first_channel_number_rule(self, tmp_path, text):
+        path = self.write_uci(tmp_path, [[0.5, 1.0]], "train.txt")
+        lines = path.read_text().splitlines()
+        lines[1] = " ".join([text] + lines[1].split()[1:])
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(IngestionError, match="train.txt:2") as err:
+            load_arabic_digits(path, path, n_classes=1)
+        assert err.value.line == 2
+
+    def test_one_frame_recording_names_its_line(self, tmp_path):
+        path = self.write_uci(tmp_path, [[0.5, 1.0], [2.0], [0.0, 1.0]],
+                              "train.txt")
+        with pytest.raises(IngestionError, match="fewer than 2") as err:
+            load_arabic_digits(path, path, n_classes=1)
+        assert err.value.line == 4
+
+    @pytest.mark.parametrize("bad", ["one_frame_train", "malformed_test"])
+    def test_uneven_count_does_not_warn_before_an_error(self, tmp_path,
+                                                        recwarn, bad):
+        # Three recordings in two classes warn, but only once both files
+        # have been read and checked.
+        train = [[0.5, 1.0], [2.0, 1.0], [0.0, 1.0]]
+        test = [[0.5, 1.0], [2.0, 1.0]]
+        if bad == "one_frame_train":
+            train[2] = [0.0]
+        train_path = self.write_uci(tmp_path, train, "train.txt")
+        test_path = self.write_uci(tmp_path, test, "test.txt")
+        if bad == "malformed_test":
+            test_path.write_text(test_path.read_text() + "0.5 0.5\n")
+        with pytest.raises(IngestionError):
+            load_arabic_digits(train_path, test_path, n_classes=2)
+        assert [str(w.message) for w in recwarn] == []
+
 
 class TestSyntheticClassification:
     def test_determinism(self):
@@ -233,6 +310,10 @@ class TestSyntheticClassification:
     def test_class_count_bound(self):
         with pytest.raises(ParameterError):
             gen_synthetic_classification(1, 5, 40, seed=0)
+
+    def test_negative_test_count(self):
+        with pytest.raises(ParameterError, match="test_per_class"):
+            gen_synthetic_classification(2, 3, 8, seed=0, test_per_class=-1)
 
     @pytest.mark.parametrize("bandwidth", [-0.01, np.inf, np.nan])
     def test_bandwidth_bound(self, bandwidth):

@@ -56,12 +56,14 @@ def _leaves(value, prefix: str = ""):
 
 def _relative_change(old, new) -> float:
     """|new - old| relative to the larger magnitude; ``inf`` for a change
-    of type or of a non-finite or non-numeric value, 0 for no change."""
+    of type (``True`` to ``1.0``, say, which compare equal) or of a
+    non-finite or non-numeric value, 0 for no change."""
+    if type(old) is not type(new):
+        return math.inf
     if old == new or (old != old and new != new):  # equal, or both NaN
         return 0.0
-    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                  for v in (old, new))
-    if not numbers or not (math.isfinite(old) and math.isfinite(new)):
+    if type(old) not in (int, float) or not (math.isfinite(old)
+                                             and math.isfinite(new)):
         return math.inf
     return abs(new - old) / max(abs(old), abs(new), 1e-12)
 
