@@ -49,12 +49,9 @@ from .spectral import spectrum_report
 from .storage import (
     load_matrix,
     load_reservoir,
-    memory_profile_to_dict,
     psd_to_csv,
-    psd_to_dict,
     read_json,
     save_reservoir,
-    spectrum_to_dict,
     write_json,
 )
 from .tasks import _make_task, read_series
@@ -118,11 +115,17 @@ def _at_least_one(**fields) -> None:
 
 
 def _read_series(path) -> np.ndarray:
-    """A ``tasks.read_series`` file of at least ``_MIN_SAMPLES`` values."""
+    """A ``tasks.read_series`` file of at least ``_MIN_SAMPLES`` values
+    whose variance and periodogram are finite."""
     series = read_series(path)
     if len(series) < _MIN_SAMPLES:
         raise ParameterError(f"{path}: a series file needs at least "
                              f"{_MIN_SAMPLES} values, got {len(series)}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = (np.isfinite(np.var(series))
+                  and np.isfinite(periodogram(series).power).all())
+    if not finite:
+        raise DataError(f"{path}: the series' power overflows a float")
     return series
 
 
@@ -245,9 +248,8 @@ def cmd_spectrum(args) -> int:
     else:
         W = load_matrix(path)
     report = spectrum_report(W, n_bins=args.bins)
-    doc = spectrum_to_dict(report)
-    doc["source"] = path.name
-    write_json(doc, outdir / "spectrum.json")
+    write_json(asdict(report) | {"source": path.name},
+               outdir / "spectrum.json")
     _write_manifest(outdir, "spectrum", {"matrix": str(path), "bins": args.bins},
                     started, [outdir / "spectrum.json"])
     print(f"spectral_radius={report.spectral_radius:.6f} "
@@ -262,10 +264,9 @@ def _memory_member(reservoir: dict, *, seed_base: int, member: int, T: int,
     profile = memory_capacity(built, T=T, tau_max=tau_max,
                               seed=[seed_base, member, 1],
                               input_kind=input_kind)
-    doc = memory_profile_to_dict(profile)
-    doc.update(member=member, avg_modulus=_mean_modulus(built),
-               config_hash=chash)
-    return doc
+    return asdict(profile) | {"member": member,
+                              "avg_modulus": _mean_modulus(built),
+                              "config_hash": chash}
 
 
 @_config_command
@@ -310,9 +311,7 @@ def cmd_psd(args) -> int:
         source = {"reservoir": str(args.reservoir), "trials": args.trials,
                   "samples": args.samples, "seed": args.seed}
     psd_to_csv(profile, outdir / "psd.csv")
-    doc = psd_to_dict(profile)
-    doc["source"] = source
-    write_json(doc, outdir / "psd.json")
+    write_json(asdict(profile) | {"source": source}, outdir / "psd.json")
     _write_manifest(outdir, "psd", source, started,
                     [outdir / "psd.csv", outdir / "psd.json"])
     print(f"wrote {outdir / 'psd.csv'} ({len(profile.freqs)} bins)")

@@ -134,11 +134,18 @@ def gaussian_smooth(x, window_len: int = 3, sigma: float = 1.0) -> np.ndarray:
 
 def normalize_series(x) -> np.ndarray:
     """Shift and scale to exact zero mean and unit population variance; a
-    ``(K, T)`` stack row by row, each row bitwise as its own 1-D call."""
+    ``(K, T)`` stack row by row, each row bitwise as its own 1-D call.
+
+    A zero spread is a ``ConstantSeriesError`` and a non-finite one (a
+    square that overflows, say) a ``DomainError``; neither warns."""
     series = np.asarray(x, dtype=float)
-    std = series.std(axis=-1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = series.std(axis=-1, keepdims=True)
     if (std == 0.0).any():
         raise ConstantSeriesError("cannot normalize a constant series")
+    if not np.isfinite(std).all():
+        raise DomainError("cannot normalize a series whose spread is not "
+                          "finite")
     return (series - series.mean(axis=-1, keepdims=True)) / std
 
 

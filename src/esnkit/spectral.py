@@ -67,7 +67,8 @@ def eigenvalues(W) -> np.ndarray:
     """
     A = _as_dense(W)
     try:
-        vals = np.linalg.eigvals(A)
+        # eigvals returns float64 when every eigenvalue is real.
+        vals = np.linalg.eigvals(A).astype(complex, copy=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(
             f"eigenvalue iteration did not converge: {exc}") from exc

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -12,28 +13,32 @@ import scipy.io
 import scipy.sparse as sp
 
 from .errors import DataError, IngestionError, ParameterError
-from .metrics import MemoryProfile
 from .reservoirs import Normalization, Reservoir, ReservoirMeta
-from .signals import PsdProfile
-from .spectral import SpectrumReport
 
 __all__ = [
     "save_matrix",
     "load_matrix",
     "save_reservoir",
     "load_reservoir",
-    "spectrum_to_dict",
-    "memory_profile_to_dict",
     "psd_to_csv",
-    "psd_to_dict",
     "write_json",
     "read_json",
 ]
 
 
+def _plain(value):
+    """``json.dump``'s hook for what it cannot write: a numpy array or
+    scalar as its ``tolist()``, a complex number as ``[re, im]``."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    raise TypeError(f"cannot write {type(value).__name__} as JSON")
+
+
 def write_json(obj, path) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=_plain)
         fh.write("\n")
 
 
@@ -55,10 +60,10 @@ def save_matrix(W, path) -> None:
 
 
 def load_matrix(path) -> sp.csr_array:
-    """Read a ``.mtx`` or ``.csv`` matrix file. A NUL byte is an
-    ``IngestionError`` before any parser sees the bytes (``mmread`` can
-    crash the interpreter on one), and a ``.mtx`` file without a final
-    newline gets one."""
+    """Read a ``.mtx`` or ``.csv`` file holding a non-empty square matrix of
+    finite real weights. A NUL byte is an ``IngestionError`` before any parser
+    sees the bytes (``mmread`` can crash the interpreter on one), and a
+    ``.mtx`` file without a final newline gets one."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"matrix file not found: {path}")
@@ -76,24 +81,22 @@ def load_matrix(path) -> sp.csr_array:
                 data += b"\n"
             W = sp.csr_array(sp.coo_array(scipy.io.mmread(io.BytesIO(data))))
         else:
-            W = sp.csr_array(np.atleast_2d(np.loadtxt(io.BytesIO(data),
-                                                      delimiter=",")))
+            # loadtxt warns on a file with no data; the shape check below
+            # is its one error.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                W = sp.csr_array(np.atleast_2d(
+                    np.loadtxt(io.BytesIO(data), delimiter=",")))
     except (ValueError, OverflowError) as exc:
         raise IngestionError(f"{path.name}: {exc}") from exc
+    if W.shape[0] != W.shape[1] or not W.shape[0]:
+        raise DataError(f"{path.name}: expected a non-empty square matrix, "
+                        f"got shape {W.shape}")
+    if np.iscomplexobj(W.data):
+        raise DataError(f"{path.name}: matrix holds complex weights")
     if not np.isfinite(W.data).all():
         raise DataError(f"{path.name}: matrix holds non-finite weights")
     return W
-
-
-def _meta_to_dict(meta: ReservoirMeta) -> dict:
-    d = asdict(meta)
-    d["target_cycle_density"] = {str(k): v
-                                 for k, v in meta.target_cycle_density.items()}
-    if isinstance(meta.seed, (int, np.integer)):
-        d["seed"] = int(meta.seed)
-    elif meta.seed is not None:
-        d["seed"] = [int(s) for s in meta.seed]
-    return d
 
 
 def _meta_from_dict(d: dict) -> ReservoirMeta:
@@ -117,12 +120,13 @@ def save_reservoir(reservoir: Reservoir, basepath) -> tuple[Path, Path]:
     matrix_path = base.with_suffix(".mtx")
     manifest_path = base.with_suffix(".json")
     save_matrix(reservoir.W, matrix_path)
-    write_json({
-        "meta": _meta_to_dict(reservoir.meta),
-        "w_in": reservoir.w_in.tolist(),
-        "w_ofb": reservoir.w_ofb.tolist(),
-        "matrix_file": matrix_path.name,
-    }, manifest_path)
+    meta = asdict(reservoir.meta)
+    # String keys sort as strings ("1", "10", "2"); int keys would not.
+    meta["target_cycle_density"] = {
+        str(k): v for k, v in meta["target_cycle_density"].items()}
+    write_json({"meta": meta, "w_in": reservoir.w_in,
+                "w_ofb": reservoir.w_ofb, "matrix_file": matrix_path.name},
+               manifest_path)
     return matrix_path, manifest_path
 
 
@@ -149,28 +153,9 @@ def load_reservoir(manifest_path) -> Reservoir:
     return Reservoir(W=W, w_in=w_in, w_ofb=w_ofb, meta=meta)
 
 
-def spectrum_to_dict(report: SpectrumReport) -> dict:
-    return {
-        "eigenvalues": [[float(v.real), float(v.imag)]
-                        for v in report.eigenvalues],
-        "spectral_radius": report.spectral_radius,
-        "avg_modulus": report.avg_modulus,
-        "modulus_histogram": [[c, d] for c, d in report.modulus_histogram],
-    }
-
-
-def memory_profile_to_dict(profile: MemoryProfile) -> dict:
-    return {"per_delay": profile.per_delay.tolist(), "total": profile.total,
-            "tau_max_used": profile.tau_max_used,
-            "input_kind": profile.input_kind}
-
-
-def psd_to_csv(profile: PsdProfile, path) -> None:
+def psd_to_csv(profile, path) -> None:
+    """Write a ``PsdProfile`` as ``freq,power`` rows."""
     np.savetxt(path, np.column_stack([profile.freqs, profile.power]),
                delimiter=",", header=f"freq,power (n_averages={profile.n_averages})",
                comments="# ")
 
-
-def psd_to_dict(profile: PsdProfile) -> dict:
-    return {"freqs": profile.freqs.tolist(), "power": profile.power.tolist(),
-            "n_averages": profile.n_averages}

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, IngestionError, ParameterError
+from .errors import ConfigError, DomainError, IngestionError, ParameterError
 from .reservoirs import _call_with_config, make_rng, SeedLike
 from .signals import gaussian_smooth, normalize_series, resample_to_length
 
@@ -187,8 +187,8 @@ def _laser_split(n_points: int) -> tuple[int, int, int]:
 
 def _laser_bundle_from_series(series: np.ndarray, name: str,
                               meta: dict) -> TaskBundle:
+    series = normalize_series(series)  # raises before _laser_split warns
     washout, n_train, n_test = _laser_split(len(series))
-    series = normalize_series(series)
     series = gaussian_smooth(series, window_len=3, sigma=1.0)
     return TaskBundle(
         name=name,
@@ -250,7 +250,10 @@ def load_laser(path) -> TaskBundle:
     series = read_series(path)
     if not series.size:
         raise IngestionError(f"{Path(path).name}: file contains no samples")
-    return _laser_bundle_from_series(series, "laser", {"path": str(path)})
+    try:
+        return _laser_bundle_from_series(series, "laser", {"path": str(path)})
+    except DomainError as exc:
+        raise IngestionError(f"{Path(path).name}: {exc}") from None
 
 
 def gen_sine_mixture(length: int = 10093, seed: SeedLike = 0,
@@ -325,14 +328,25 @@ def _group_by_class(recordings: list[np.ndarray],
     return grouped
 
 
+def _normalized_recording(rec: np.ndarray, path, index: int) -> np.ndarray:
+    """``normalize_series(rec)``; a recording it cannot normalize is an
+    ``IngestionError`` naming the file and the recording."""
+    try:
+        return normalize_series(rec)
+    except DomainError as exc:
+        raise IngestionError(f"{Path(path).name}: recording {index}: "
+                             f"{exc}") from None
+
+
 def load_arabic_digits(path_train, path_test, *, n_classes: int = 10,
                        target_length: int = 40) -> TaskBundle:
     """Load cepstral recordings (13 space-separated values per frame,
     blank-line-separated recordings, file ordered by digit), keep channel 1,
     normalize each recording, and resample it to a common length. Both
     files are read and every recording prepared before any warning."""
-    train, test = ([resample_to_length(normalize_series(rec), target_length)
-                    for rec in _parse_mfcc_blocks(path)]
+    train, test = ([resample_to_length(_normalized_recording(rec, path, i),
+                                       target_length)
+                    for i, rec in enumerate(_parse_mfcc_blocks(path))]
                    for path in (path_train, path_test))
     return TaskBundle(
         name="arabic-digits",

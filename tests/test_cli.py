@@ -11,6 +11,8 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +58,20 @@ class TestGenerateSpectrumVerify:
         assert np.allclose(moduli, 1.0, atol=1e-10)
 
         assert run_cli("verify", out) == 0
+
+    def test_real_spectrum_written_as_pairs(self, tmp_path):
+        # eigvals returns float64 for an all-real spectrum; the file still
+        # holds [re, im] pairs.
+        cfg = write_config(tmp_path, "gen.json", {
+            "reservoir": {"family": "DELAY_LINE", "n": 2, "weight": 0.5}})
+        assert run_cli("generate", "-c", cfg, "-o", tmp_path / "g") == 0
+        assert run_cli("spectrum", tmp_path / "g" / "reservoir.json",
+                       "-o", tmp_path / "s") == 0
+        doc = read_json(tmp_path / "s" / "spectrum.json")
+        assert [len(pair) for pair in doc["eigenvalues"]] == [2, 2]
+        assert sorted(re for re, _ in doc["eigenvalues"]) == \
+            pytest.approx([-0.5, 0.5], abs=1e-12)
+        assert [im for _, im in doc["eigenvalues"]] == [0.0, 0.0]
 
     def test_verify_detects_tampering(self, tmp_path):
         cfg = write_config(tmp_path, "gen.json", {
@@ -752,6 +768,126 @@ class TestErrors:
         assert err["error"] == "ConfigError"
         assert err["message"] == "missing output file reservoir.mtx"
 
+    @classmethod
+    def quiet_error(cls, capsys, *args) -> tuple[int, dict]:
+        """Exit code and the one JSON error line of a CLI call that gives
+        no warning."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(*args)
+        assert [str(w.message) for w in caught] == []
+        return code, cls.single_error_line(capsys)
+
+    _NON_SQUARE_MTX = (b"%%MatrixMarket matrix coordinate real general\n"
+                       b"3 4 2\n1 1 0.5\n2 4 0.25\n")
+
+    def test_non_square_mtx_spectrum(self, tmp_path, capsys):
+        # Exited 2 with a DimensionError from the spectrum.
+        path = tmp_path / "w.mtx"
+        path.write_bytes(self._NON_SQUARE_MTX)
+        code, err = self.quiet_error(capsys, "spectrum", path,
+                                     "-o", tmp_path / "o")
+        assert (code, err["error"]) == (3, "DataError")
+        assert "w.mtx" in err["message"] and "square" in err["message"]
+
+    def test_non_square_mtx_reservoir_psd(self, tmp_path, capsys):
+        # Three input weights and a 3x4 matrix: exited 1 with a matmul
+        # ValueError traceback.
+        save_reservoir(gen_er(3, 1, seed=0), tmp_path / "res")
+        (tmp_path / "res.mtx").write_bytes(self._NON_SQUARE_MTX)
+        code, err = self.quiet_error(
+            capsys, "psd", "--reservoir", tmp_path / "res.json",
+            "--trials", 1, "--samples", 16, "-o", tmp_path / "o")
+        assert (code, err["error"]) == (3, "DataError")
+        assert "res.mtx" in err["message"] and "square" in err["message"]
+
+    @pytest.mark.parametrize("command", [
+        ["spectrum", "{mtx}"],
+        ["psd", "--reservoir", "{json}", "--trials", "1", "--samples", "16"],
+    ], ids=["spectrum", "psd_reservoir"])
+    def test_complex_mtx(self, tmp_path, capsys, command):
+        # spectrum dropped the imaginary parts with a ComplexWarning and
+        # exited 0; psd exited 1 with a matmul casting traceback.
+        save_reservoir(gen_er(2, 1, seed=0), tmp_path / "res")
+        (tmp_path / "res.mtx").write_bytes(
+            b"%%MatrixMarket matrix coordinate complex general\n"
+            b"2 2 2\n1 2 0.5 0.25\n2 1 1 0\n")
+        args = [a.format(mtx=tmp_path / "res.mtx", json=tmp_path / "res.json")
+                for a in command]
+        code, err = self.quiet_error(capsys, *args, "-o", tmp_path / "o")
+        assert (code, err["error"]) == (3, "DataError")
+        assert "res.mtx" in err["message"] and "complex" in err["message"]
+
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank"])
+    def test_empty_csv_matrix(self, tmp_path, capsys, text):
+        # loadtxt's no-data warning, then exit 2 on a (1, 0) matrix.
+        path = tmp_path / "w.csv"
+        path.write_text(text)
+        code, err = self.quiet_error(capsys, "spectrum", path,
+                                     "-o", tmp_path / "o")
+        assert (code, err["error"]) == (3, "DataError")
+        assert "w.csv" in err["message"] and "square" in err["message"]
+
+    @pytest.mark.parametrize("first, problem", [
+        ("3", "constant"), ("1e308", "not finite")],
+        ids=["constant", "overflow"])
+    def test_laser_file_not_normalizable(self, tmp_path, capsys, first,
+                                         problem):
+        # Both printed the split warning, then exited 2 naming no file.
+        path = tmp_path / "laser.txt"
+        path.write_text(first + "\n" + "3\n" * 59)
+        cfg = write_config(tmp_path, "b.json", {
+            "task": {"name": "laser", "path": str(path)},
+            "reservoir": {"family": "ER", "n": 20}})
+        code, err = self.quiet_error(capsys, "benchmark", "-c", cfg, "-o",
+                                     tmp_path / "o", "--workers", 1)
+        assert (code, err["error"]) == (3, "IngestionError")
+        assert "laser.txt" in err["message"] and problem in err["message"]
+
+    def test_constant_cepstral_recording(self, tmp_path, capsys):
+        # Exited 2 with "cannot normalize a constant series".
+        lines = []
+        for recording in [[1.0, 1.0]] + [[0.5, 2.0]] * 9:
+            lines += [" ".join([str(v)] + ["0.25"] * 12)
+                      for v in recording] + [""]
+        path = tmp_path / "train.txt"
+        path.write_text("\n".join(lines))
+        cfg = write_config(tmp_path, "b.json", {
+            "task": {"name": "arabic-digits", "train_path": str(path),
+                     "test_path": str(path)},
+            "reservoir": {"family": "ER", "n": 20}})
+        code, err = self.quiet_error(capsys, "benchmark", "-c", cfg, "-o",
+                                     tmp_path / "o", "--workers", 1)
+        assert (code, err["error"]) == (3, "IngestionError")
+        assert "train.txt: recording 0" in err["message"]
+        assert "constant" in err["message"]
+
+    def test_overflowing_psd_input(self, tmp_path, capsys):
+        # Exited 0 after numpy's overflow warning, with 31 Infinity powers.
+        path = tmp_path / "series.txt"
+        path.write_text("1e308\n" + "".join(f"{i % 7}\n" for i in range(59)))
+        out = tmp_path / "o"
+        code, err = self.quiet_error(capsys, "psd", "--input", path,
+                                     "-o", out)
+        assert (code, err["error"]) == (3, "DataError")
+        assert "series.txt" in err["message"]
+        assert list(out.iterdir()) == []
+
+    def test_overflowing_adapt_signal(self, tmp_path, capsys):
+        path = tmp_path / "signal.txt"
+        path.write_text("1e308\n" + "".join(f"{i % 7}\n" for i in range(59)))
+        cfg = write_config(tmp_path, "a.json", {
+            "task": {"name": "sine-mixture", "seed": 3}, "lengths": [1],
+            "density_grid": [0.0], "n_instances": 1, "n_seeds": 1})
+        out = tmp_path / "o"
+        code, err = self.quiet_error(capsys, "adapt", "-c", cfg, "--signal",
+                                     path, "-o", out, "--cache-dir",
+                                     tmp_path / "cache")
+        assert (code, err["error"]) == (3, "DataError")
+        assert "signal.txt" in err["message"]
+        assert list(out.iterdir()) == []
+        assert not (tmp_path / "cache").exists()
+
 
 _ABSENT = object()
 
@@ -1354,7 +1490,7 @@ class TestMemoryBlasThreads:
             for member in range(self.CONFIG["ensemble"]):
                 built = cli.reservoir_from_config(self.CONFIG["reservoir"],
                                                   [5, member])
-                doc = cli.memory_profile_to_dict(cli.memory_capacity(
+                doc = asdict(cli.memory_capacity(
                     built, T=1200, tau_max=20, seed=[5, member, 1],
                     input_kind="uniform"))
                 doc.update(member=member, config_hash=chash,

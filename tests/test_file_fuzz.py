@@ -3,10 +3,11 @@
 Each case overwrites, deletes or inserts bytes in a valid file and reads
 the result in a child forked from the test process, so that a crash (a
 parser's segfault, say) or a hang fails the test instead of killing
-pytest. A command-line read exits 0, 2, 3 or 4, and a failing one prints
-exactly one JSON error line and no warning. A task loader returns a
-bundle, or raises an ``EsnKitError`` or ``OSError`` with no warning
-before it.
+pytest. A command-line read exits 0, 3 or 4 (a series file may also exit
+2, for its minimum length: a data file is never a config error), and a
+failing one prints exactly one JSON error line and no warning. A task
+loader returns a bundle, or raises an ``EsnKitError`` or ``OSError`` with
+no warning before it.
 """
 
 import contextlib
@@ -50,9 +51,15 @@ _W = np.array([[0.0, 0.5, 0.0, -0.25], [0.75, 0.0, 0.0, 0.0],
 _MTX = _saved(lambda p: save_matrix(_W, p), "w.mtx")["w.mtx"]
 _RESERVOIR = _saved(lambda p: save_reservoir(gen_er(6, 2, seed=0), p), "res")
 
+#: A 14x14 matrix whose weights sit in its first four rows, with no comment
+#: line: a byte deleted at the start of its size line makes it 4x14.
+_MTX14 = (b"%%MatrixMarket matrix coordinate real general\n14 14 3\n"
+          b"1 2 0.5\n2 1 -0.25\n4 3 1\n")
+
 #: The valid files each kind of case mutates. The short laser record and
-#: the two-frame recordings sit one mutation from a length check; the
-#: series and one matrix end without a newline.
+#: the two-frame recordings sit one mutation from a length check, the
+#: 14x14 matrix and the 1x1 CSV matrix one from a shape check; the series
+#: and one matrix end without a newline.
 _SEEDS = {
     "series": [b"0.5\n-1.25\n\n3\n1e-3\n  2.5e2  \n-7\n0.0\n4.75\r\n1\n-2"],
     "laser": ["".join(f"{v}\n" for v in values).encode() for values in [
@@ -61,9 +68,11 @@ _SEEDS = {
     "mfcc": [_frames([[0.5 + 0.1 * r, -0.25, 1.0 - 0.05 * r]
                       for r in range(10)]).encode(),
              _frames([[r + 1, -r] for r in range(10)]).encode()],
-    "mtx": [_MTX, _MTX.rstrip(b"\n")],
-    "csv": [_saved(lambda p: save_matrix(_W, p), "w.csv")["w.csv"]],
+    "mtx": [_MTX, _MTX14, _MTX.rstrip(b"\n")],
+    "csv": [_saved(lambda p: save_matrix(_W, p), "w.csv")["w.csv"],
+            b"0.5\n"],
     "json": [_RESERVOIR["res.json"]],
+    "reservoir_mtx": [_RESERVOIR["res.mtx"]],
 }
 
 #: Byte runs that the number rules and the parsers treat specially.
@@ -163,6 +172,10 @@ def _write_case(tmp: Path, kind: str, data: bytes, which: str) -> list[Path]:
         return [train, test]
     if kind == "json":
         (tmp / "res.mtx").write_bytes(_RESERVOIR["res.mtx"])
+    if kind == "reservoir_mtx":
+        (tmp / "res.json").write_bytes(_RESERVOIR["res.json"])
+        (tmp / "res.mtx").write_bytes(data)
+        return [tmp / "res.json"]
     path = tmp / {"series": "series.txt", "laser": "laser.txt",
                   "mtx": "w.mtx", "csv": "w.csv", "json": "res.json"}[kind]
     path.write_bytes(data)
@@ -176,6 +189,9 @@ def _reader(kind: str, paths: list[Path], out: Path):
         return lambda: _run_loader(load_laser, *paths)
     if kind == "mfcc":
         return lambda: _run_loader(load_arabic_digits, *paths)
+    if kind == "reservoir_mtx":
+        return lambda: _run_cli("psd", "--reservoir", paths[0], "--trials", 1,
+                                "--samples", 16, "-o", out)
     return lambda: _run_cli("spectrum", paths[0], "--bins", 4, "-o", out)
 
 
@@ -189,7 +205,8 @@ def test_mutated_file(kind, data, mutations, which):
         paths = _write_case(Path(tmp), kind, data, which)
         result = _in_child(_reader(kind, paths, Path(tmp) / "o"))
     if "code" in result:
-        assert result["code"] in (0, 2, 3, 4), result
+        assert result["code"] in ((0, 2, 3, 4) if kind == "series"
+                                  else (0, 3, 4)), result
         if result["code"] != 0:
             lines = result["stderr"].strip().splitlines()
             assert len(lines) == 1, result

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from esnkit.errors import ConstantSeriesError, ParameterError
+from esnkit.errors import ConstantSeriesError, DomainError, ParameterError
 from esnkit.esn import run_teacher_forced
 from esnkit.reservoirs import gen_cycle_enhanced, gen_er, make_rng
 from esnkit.signals import (
@@ -163,6 +163,15 @@ class TestNormalizeResample:
         stack[1] = 4.0
         with pytest.raises(ConstantSeriesError):
             normalize_series(stack)
+
+    @pytest.mark.parametrize("series", [
+        [1e308, 0.0, 1.0, 2.0], [1e308, 1e308, 1.0], [1.0, np.nan, 2.0]],
+        ids=["square_overflows", "sum_overflows", "nan"])
+    def test_non_finite_spread_rejected_without_warning(self, series,
+                                                        recwarn):
+        with pytest.raises(DomainError, match="not finite"):
+            normalize_series(series)
+        assert [str(w.message) for w in recwarn] == []
 
     def test_resample_two_to_three(self):
         assert_allclose(resample_to_length(np.array([1.0, 3.0]), 3),

@@ -152,6 +152,16 @@ class TestLaser:
             load_laser(self.write_series(tmp_path, [1, 2, 3]))
         assert [str(w.message) for w in recwarn] == []
 
+    @pytest.mark.parametrize("first, problem", [
+        (3, "constant"), (1e308, "not finite")], ids=["constant", "overflow"])
+    def test_not_normalizable_without_warning(self, tmp_path, recwarn, first,
+                                              problem):
+        # 60 samples: a valid file this long warns about its split.
+        path = self.write_series(tmp_path, [first] + [3] * 59)
+        with pytest.raises(IngestionError, match=f"laser.txt: .*{problem}"):
+            load_laser(path)
+        assert [str(w.message) for w in recwarn] == []
+
     def test_sine_mixture_bundle_matches_laser_protocol(self):
         bundle = sine_mixture_bundle(seed=0)
         assert bundle.continuous
@@ -252,6 +262,16 @@ class TestArabicDigits:
         with pytest.raises(IngestionError, match="train.txt:2") as err:
             load_arabic_digits(path, path, n_classes=1)
         assert err.value.line == 2
+
+    def test_constant_recording_named_without_warning(self, tmp_path,
+                                                      recwarn):
+        # Three recordings do not divide into two classes, which warns.
+        path = self.write_uci(tmp_path, [[0.5, 1.0], [0.0, 1.0], [2.0, 2.0]],
+                              "train.txt")
+        with pytest.raises(IngestionError,
+                           match="train.txt: recording 2: .*constant"):
+            load_arabic_digits(path, path, n_classes=2)
+        assert [str(w.message) for w in recwarn] == []
 
     def test_one_frame_recording_names_its_line(self, tmp_path):
         path = self.write_uci(tmp_path, [[0.5, 1.0], [2.0], [0.0, 1.0]],
