@@ -42,6 +42,10 @@ DIVERGENCE_LIMIT = 1e6
 #: thread). The two products round differently.
 _DENSE_CUTOFF = 256
 
+#: Steps whose drive term is built at once, so a run never holds a whole
+#: ``(T, [B,] n)`` drive beside its states.
+_FEED_BLOCK = 256
+
 
 def _activation(name: str) -> np.ufunc:
     if name == "tanh":
@@ -53,20 +57,27 @@ def _activation(name: str) -> np.ufunc:
 
 @dataclass
 class EsnRun:
-    """Recorded trajectory of a driven reservoir.
+    """Recorded trajectory of a driven reservoir, held as its read-only
+    regression design ``[x(t); u(t)]``: ``(T, n+1)`` for one run,
+    ``(T, B, n+1)`` for a batch.
 
     ``states[t]`` is the neuron state after consuming ``inputs[t]``.
     The first ``washout`` rows are transient and excluded from fits.
     """
 
-    states: np.ndarray
+    design: np.ndarray
     inputs: np.ndarray
     washout: int
 
+    @property
+    def states(self) -> np.ndarray:
+        """The neuron states: a view of the design's first n columns."""
+        return self.design[..., :-1]
+
     def design_matrix(self) -> np.ndarray:
-        """Regression features ``[x(t); u(t)]`` for every step: ``(T, n+1)``
-        for one run, ``(T, B, n+1)`` for a batch."""
-        return np.concatenate([self.states, self.inputs[..., None]], axis=-1)
+        """Regression features ``[x(t); u(t)]`` for every step: the run's
+        design itself, not a copy."""
+        return self.design
 
 
 def _checked_readout(w_out, n: int) -> np.ndarray:
@@ -104,7 +115,10 @@ def run_teacher_forced(reservoir: Reservoir, inputs: np.ndarray,
 
     ``inputs`` is one ``(T,)`` series or a ``(T, B)`` batch of B independent
     runs on the same reservoir; the states come back as ``(T, n)`` or
-    ``(T, B, n)``. The feedback term uses the teacher signal (the shape of
+    ``(T, B, n)``, a view of the run's one buffer, its design: each step
+    writes its activation into the first n columns, and the last holds the
+    input. The drive term is built ``_FEED_BLOCK`` steps at a time. The
+    feedback term uses the teacher signal (the shape of
     ``inputs``) shifted by one step (``y(t-1) = teacher[t-1]``, zero at
     t=0). When the reservoir has no feedback weights the teacher is ignored
     entirely, so runs are teacher-independent in that case.
@@ -118,25 +132,26 @@ def run_teacher_forced(reservoir: Reservoir, inputs: np.ndarray,
     ``W @ x + feed``.
     """
     u = _checked_input(inputs, washout)
-    feed = u[..., None] * reservoir.w_in
-    has_feedback = np.any(reservoir.w_ofb != 0.0)
-    if has_feedback and teacher is not None:
+    y_prev = None
+    if np.any(reservoir.w_ofb != 0.0) and teacher is not None:
         y = np.asarray(teacher, dtype=float)
         if y.shape != u.shape:
             raise DimensionError("teacher must have the shape of inputs")
         y_prev = np.concatenate([np.zeros_like(y[:1]), y[:-1]])
-        feed += y_prev[..., None] * reservoir.w_ofb
     f = _activation(activation)
     W = _recurrence_operator(reservoir)
-    states = np.empty_like(feed)
+    n = reservoir.n
+    design = np.empty(u.shape + (n + 1,))
+    design[..., -1] = u
+    states = design[..., :-1]
     if not sp.issparse(W):
-        acc, Wt = np.empty(feed.shape[1:]), W.T
+        acc, Wt = np.empty(u.shape[1:] + (n,)), W.T
 
         def product(x):
             return np.matmul(x, Wt, out=acc)
     elif u.ndim == 1:
-        acc = np.empty(reservoir.n)
-        csr = (reservoir.n, reservoir.n, W.indptr, W.indices, W.data)
+        acc = np.empty(n)
+        csr = (n, n, W.indptr, W.indices, W.data)
 
         def product(x):
             acc.fill(0.0)
@@ -144,20 +159,25 @@ def run_teacher_forced(reservoir: Reservoir, inputs: np.ndarray,
             return acc
     else:
         # csr_matvecs takes each node's B values side by side: (n, B).
-        acc = np.empty((reservoir.n, u.shape[1]))
-        csr = (reservoir.n, reservoir.n, u.shape[1], W.indptr, W.indices,
-               W.data)
+        acc = np.empty((n, u.shape[1]))
+        csr = (n, n, u.shape[1], W.indptr, W.indices, W.data)
 
         def product(x):
             acc.fill(0.0)
             _sparsetools.csr_matvecs(*csr, x.T.ravel(), acc.ravel())
             return acc.T
-    x = np.zeros(feed.shape[1:])
-    for t in range(len(feed)):
-        z = product(x)
-        np.add(z, feed[t], out=z)
-        x = f(z, out=states[t])
-    return EsnRun(states=states, inputs=u, washout=washout)
+    x = np.zeros(u.shape[1:] + (n,))
+    for lo in range(0, len(u), _FEED_BLOCK):
+        block = slice(lo, lo + _FEED_BLOCK)
+        feed = u[block, ..., None] * reservoir.w_in
+        if y_prev is not None:
+            feed += y_prev[block, ..., None] * reservoir.w_ofb
+        for t, drive in enumerate(feed, lo):
+            z = product(x)
+            np.add(z, drive, out=z)
+            x = f(z, out=states[t])
+    design.flags.writeable = False
+    return EsnRun(design=design, inputs=u, washout=washout)
 
 
 def solve_ridge(design: np.ndarray, target: np.ndarray, ridge: float) -> np.ndarray:
@@ -193,7 +213,7 @@ def train_readout(run: EsnRun, target: np.ndarray,
         raise DomainError("target contains non-finite values")
     lo = run.washout
     n_rows = T - lo
-    n_features = run.states.shape[1] + 1
+    n_features = run.design.shape[1]
     if n_rows < n_features + 1:
         raise ParameterError(
             f"need at least {n_features + 1} post-washout samples, have {n_rows}")

@@ -109,6 +109,11 @@ def _ridge_factor(design: np.ndarray, ridge: float):
             f"design matrix is rank deficient; {advice}") from err
 
 
+def _same_view(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays are the same memory read the same way."""
+    return a.__array_interface__ == b.__array_interface__
+
+
 def memory_capacity_from_states(states: np.ndarray, drive: np.ndarray,
                                 tau_max: int, start: int | None = None,
                                 ridge: float = RIDGE,
@@ -121,6 +126,8 @@ def memory_capacity_from_states(states: np.ndarray, drive: np.ndarray,
     consecutive delays fall below 1e-3. The readouts share one Cholesky
     factor and are solved ``_DELAY_CHUNK`` delays at a time, as one
     multi-right-hand-side solve, so an early stop wastes at most one chunk.
+    When ``states`` is an ``EsnRun``'s states and ``drive`` the last column
+    of its design, the fits read that design and copy nothing.
     """
     X = np.asarray(states, dtype=float)
     u = np.asarray(drive, dtype=float)
@@ -139,7 +146,11 @@ def memory_capacity_from_states(states: np.ndarray, drive: np.ndarray,
             "too few usable samples; reduce tau_max or lengthen the drive")
     split = len(rows) // 2
     tr, te = rows[:split], rows[split:]
-    design = np.column_stack([X, u])
+    design = X.base
+    if not (isinstance(design, np.ndarray) and design.shape == (T, n + 1)
+            and _same_view(design[:, :-1], X)
+            and _same_view(design[:, -1], u)):
+        design = np.column_stack([X, u])
     design_tr, design_te = design[start:start + split], design[start + split:]
     factor = _ridge_factor(design_tr, ridge)
 
@@ -194,8 +205,8 @@ def memory_capacity(reservoir: Reservoir, T: int = 4000,
     run = run_teacher_forced(reservoir, drive)
     if not np.isfinite(run.states).all():
         raise DivergenceError("reservoir states diverged under the noise drive")
-    return memory_capacity_from_states(run.states, drive, tau_max,
-                                       start=max(100, tau_max),
+    return memory_capacity_from_states(run.states, run.design[:, -1],
+                                       tau_max, start=max(100, tau_max),
                                        input_kind=input_kind)
 
 

@@ -136,11 +136,20 @@ def normalize_series(x) -> np.ndarray:
     """Shift and scale to exact zero mean and unit population variance; a
     ``(K, T)`` stack row by row, each row bitwise as its own 1-D call.
 
-    A zero spread is a ``ConstantSeriesError`` and a non-finite one (a
-    square that overflows, say) a ``DomainError``; neither warns."""
+    A row whose squared deviations overflow (a spread beyond about 1e154)
+    is normalized after dividing it by its largest magnitude, when that
+    magnitude times T is finite, so the row's sum cannot overflow. A zero
+    spread is a ``ConstantSeriesError`` and a non-finite one (non-finite
+    values, or magnitudes within a factor T of the largest double) a
+    ``DomainError``; neither warns."""
     series = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         std = series.std(axis=-1, keepdims=True)
+        if not np.isfinite(std).all():
+            peak = np.abs(series).max(axis=-1, keepdims=True, initial=0.0)
+            wide = ~np.isfinite(std) & np.isfinite(peak * series.shape[-1])
+            series = np.where(wide, series / peak, series)
+            std = series.std(axis=-1, keepdims=True)
     if (std == 0.0).any():
         raise ConstantSeriesError("cannot normalize a constant series")
     if not np.isfinite(std).all():

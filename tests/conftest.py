@@ -1,5 +1,6 @@
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,22 @@ def eig_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", counting)
     return calls
+
+
+@pytest.fixture
+def traced_peak():
+    """A function giving the peak bytes that Python and numpy hold at once
+    (``tracemalloc``) while ``call()`` runs, its result included."""
+
+    def measure(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return measure
 
 
 _AC_PATTERN = re.compile(r"test_ac(\d+)_(\w+)")

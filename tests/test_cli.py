@@ -844,6 +844,17 @@ class TestErrors:
         assert (code, err["error"]) == (3, "IngestionError")
         assert "laser.txt" in err["message"] and problem in err["message"]
 
+    def test_laser_file_beyond_squares_runs(self, tmp_path):
+        # Exited 3: the squared deviations of samples near 1e200 overflow.
+        values = np.random.default_rng(0).integers(-128, 128, 10093) * 1e198
+        path = tmp_path / "laser.txt"
+        path.write_text("".join(f"{v}\n" for v in values))
+        cfg = write_config(tmp_path, "b.json", {
+            "task": {"name": "laser", "path": str(path)},
+            "reservoir": {"family": "ER", "n": 20}})
+        assert run_cli("benchmark", "-c", cfg, "-o", tmp_path / "o",
+                       "--workers", 1) == 0
+
     def test_constant_cepstral_recording(self, tmp_path, capsys):
         # Exited 2 with "cannot normalize a constant series".
         lines = []

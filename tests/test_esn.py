@@ -14,6 +14,7 @@ from esnkit.errors import (
 )
 from esnkit.esn import (
     _DENSE_CUTOFF,
+    _FEED_BLOCK,
     _one_step_blocks,
     forecast_free_run,
     run_teacher_forced,
@@ -236,6 +237,51 @@ class TestRecurrenceKernel:
         run = run_teacher_forced(res, u, teacher=y, activation=activation)
         assert_bitwise(run.states, teacher_forced_states_loop(
             res, u, y, activation, sparse=sparse))
+
+    @pytest.mark.parametrize("teacher", [False, True],
+                             ids=["no-teacher", "feedback-teacher"])
+    @pytest.mark.parametrize("activation", ["tanh", "identity"])
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batch"])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    @pytest.mark.parametrize("T", [_FEED_BLOCK - 1, _FEED_BLOCK,
+                                   _FEED_BLOCK + 1, 2 * _FEED_BLOCK + 3])
+    def test_bitwise_across_feed_blocks(self, rng, monkeypatch, T, sparse,
+                                        batch, activation, teacher):
+        # The drive term is built a block of steps at a time; a run that
+        # ends on, just before or just after a block edge keeps the bits.
+        monkeypatch.setattr(esn, "_DENSE_CUTOFF", 0 if sparse else 10 ** 6)
+        res = gen_er(30, 5, seed=8, feedback=True,
+                     normalization=Normalization("spectral_radius", 0.9))
+        u = rng.uniform(-1, 1, (T,) + batch)
+        y = rng.uniform(-1, 1, u.shape) if teacher else None
+        run = run_teacher_forced(res, u, teacher=y, activation=activation)
+        assert_bitwise(run.states, teacher_forced_states_loop(
+            res, u, y, activation, sparse=sparse))
+
+    @pytest.mark.parametrize("shape", [(60,), (60, 3)],
+                             ids=["single", "batch"])
+    def test_states_are_a_view_of_the_read_only_design(self, rng, shape):
+        res = gen_er(20, 4, seed=5)
+        u = rng.uniform(-1, 1, shape)
+        run = run_teacher_forced(res, u)
+        design = run.design_matrix()
+        assert design is run.design_matrix()
+        assert design.shape == shape + (21,)
+        assert np.shares_memory(run.states, design)
+        assert_bitwise(design[..., -1], u)
+        with pytest.raises(ValueError):
+            design[0, ...] = 0.0
+        with pytest.raises(ValueError):
+            run.states[0] = 0.0
+
+    def test_run_holds_one_design_and_one_block_of_drive(self, traced_peak):
+        # 4000 steps at n=400 held 24.4 MiB when the whole drive term was
+        # built before the first step beside a separate state array.
+        n, T = 400, 4000
+        res = gen_er(n, 20, seed=[n, 0])
+        drive = np.random.default_rng(0).uniform(-1, 1, T)
+        peak = traced_peak(lambda: run_teacher_forced(res, drive))
+        assert peak <= T * (n + 1) * 8 + _FEED_BLOCK * n * 8 + 2 ** 20
 
     @pytest.mark.parametrize("shape", [(50,), (50, 3)],
                              ids=["single", "batch"])

@@ -144,6 +144,26 @@ class TestMemoryCapacity:
                                             start=100, ridge=0.0)
         assert_allclose(mixed.per_delay, base.per_delay, atol=1e-6)
 
+    def test_run_design_read_in_place_gives_the_copied_fit(self, rng):
+        # A run's states with its input column are fitted on the run's own
+        # design; any other pair on a fresh [X, u]. Both give the same bits.
+        res = gen_er(25, 5, seed=7)
+        run = run_teacher_forced(res, rng.uniform(-1, 1, 2000))
+        in_place = memory_capacity_from_states(run.states, run.design[:, -1],
+                                               tau_max=40, start=100)
+        copied = memory_capacity_from_states(np.array(run.states),
+                                             np.array(run.inputs),
+                                             tau_max=40, start=100)
+        assert in_place.per_delay.tobytes() == copied.per_delay.tobytes()
+
+    def test_memory_capacity_copies_no_design(self, traced_peak):
+        # n=400, T=4000: the run's one (T, n+1) buffer is 12.2 MiB. With a
+        # whole-run drive term, separate states and a design copy the peak
+        # was 27.8 MiB.
+        res = gen_er(400, 20, seed=[400, 0])
+        peak = traced_peak(lambda: memory_capacity(res, T=4000, seed=1))
+        assert peak <= 17 * 2 ** 20
+
     # The delays are solved in chunks of 32; each case puts the early stop
     # (5 consecutive delays below 1e-3) somewhere else relative to them.
     @pytest.mark.parametrize("length, tau_max, used", [

@@ -173,6 +173,22 @@ class TestNormalizeResample:
             normalize_series(series)
         assert [str(w.message) for w in recwarn] == []
 
+    def test_spread_beyond_squares_normalized(self, recwarn):
+        # The squared deviations overflow, though the spread is 7.4e199.
+        y = normalize_series([1e200, -1e200, 0.0, 5e199])
+        assert abs(y.mean()) < 1e-12
+        assert y.var() == pytest.approx(1.0, rel=0, abs=1e-12)
+        assert [str(w.message) for w in recwarn] == []
+
+    def test_wide_row_leaves_ordinary_rows_bitwise(self, rng):
+        stack = rng.uniform(-3, 7, (4, 50))
+        stack[2] *= 1e200
+        rows = normalize_series(stack)
+        for k in (0, 1, 3):
+            assert rows[k].tobytes() == normalize_series(stack[k]).tobytes()
+        assert_allclose(rows[2], normalize_series(stack[2] / 1e200),
+                        atol=1e-12)
+
     def test_resample_two_to_three(self):
         assert_allclose(resample_to_length(np.array([1.0, 3.0]), 3),
                         [1.0, 2.0, 3.0])

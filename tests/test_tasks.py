@@ -115,6 +115,15 @@ class TestLaser:
         assert total == 5000
         assert bundle.washout == pytest.approx(5000 * 1000 / 10093, abs=1)
 
+    def test_spread_beyond_squares_loads(self, tmp_path, rng):
+        # Samples near 1e200 overflow their squared deviations; the file
+        # loads as the same samples at unit scale do.
+        values = rng.integers(-128, 128, 10093)
+        big = load_laser(self.write_series(tmp_path, values * 1e198, "big.txt"))
+        unit = load_laser(self.write_series(tmp_path, values))
+        assert_allclose(big.train, unit.train, rtol=0, atol=1e-12)
+        assert_allclose(big.test, unit.test, rtol=0, atol=1e-12)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")
