@@ -278,7 +278,8 @@ def cmd_memory(args, outdir: Path, cfg: dict, *, reservoir: dict,
     _no_member_seed(reservoir)
     chash = config_hash(cfg)
     # Serial on purpose: at n=400 a forked pool of two ran the members 40%
-    # faster, but its two children together held 2.3 times the peak RSS.
+    # faster, but its two children together held 2.3 times the peak RSS;
+    # even one child beside this process adds a whole process image.
     with _single_blas_thread():
         rows = [_memory_member(reservoir, seed_base=seed_base, member=member,
                                T=T, tau_max=tau_max, input_kind=input_kind,
@@ -384,17 +385,24 @@ def _run_members(worker, payloads, workers: int, shared=None) -> list:
     """``worker`` over ``payloads``, results in payload order, with every
     loaded OpenBLAS on one thread and ``shared`` readable as ``_shared``.
 
-    ``workers <= 1`` runs the members in this process; more run them on a
-    forked process pool, whose workers inherit the thread setting and
-    ``shared`` instead of unpickling them."""
+    ``k = min(workers, len(payloads))`` members run at once: this process
+    runs payloads ``0, k, 2k, ...`` while ``k - 1`` forked children, which
+    inherit the thread setting and ``shared`` instead of unpickling them,
+    run the rest. ``k <= 1`` forks nothing. Results are taken in payload
+    order, so a failure raises the first failing member's error, whichever
+    process ran it."""
+    k = min(workers, len(payloads))
     _share(shared)
     try:
         with _single_blas_thread():
-            if workers <= 1:
+            if k <= 1:
                 return [worker(p) for p in payloads]
-            with ProcessPoolExecutor(max_workers=workers, initializer=_share,
+            with ProcessPoolExecutor(max_workers=k - 1, initializer=_share,
                                      initargs=(shared,)) as pool:
-                return list(pool.map(worker, payloads))
+                theirs = pool.map(worker, [p for i, p in enumerate(payloads)
+                                           if i % k])
+                return [next(theirs) if i % k else worker(p)
+                        for i, p in enumerate(payloads)]
     finally:
         _share(None)
 

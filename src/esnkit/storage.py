@@ -14,6 +14,7 @@ import scipy.sparse as sp
 
 from .errors import DataError, IngestionError, ParameterError
 from .reservoirs import Normalization, Reservoir, ReservoirMeta
+from .tasks import _parse
 
 __all__ = [
     "save_matrix",
@@ -59,6 +60,56 @@ def save_matrix(W, path) -> None:
         raise DataError(f"unsupported matrix format {path.suffix!r}")
 
 
+#: Values on each entry line of a Matrix Market file, by its header's field.
+_MTX_VALUES = {b"real": 1, b"double": 1, b"integer": 1,
+               b"unsigned-integer": 1, b"complex": 2, b"pattern": 0}
+
+
+def _check_mtx_lines(data: bytes, path: Path) -> None:
+    """Check the size and entry lines of a Matrix Market file whose header
+    ``mmread`` knows: each holds the header's count of numbers, sizes and
+    indices are digit runs, and values follow ``tasks._parse`` (integers in
+    an integer field). ``mmread`` reads a token's leading number and drops
+    the rest of the line, so it takes ``4 3 1_0``, ``4 3 1x`` and
+    ``4 3 1 2 3`` as 1.0; a malformed line here is an ``IngestionError``
+    naming it. Non-finite values are left to ``load_matrix``'s own check."""
+    lines = data.split(b"\n")
+    header = lines[0].lower().split()
+    if len(header) < 4 or header[2] not in (b"coordinate", b"array") \
+            or header[3] not in _MTX_VALUES:
+        return  # mmread's own error
+    coordinate = header[2] == b"coordinate"
+    integral = header[3].endswith(b"integer")
+    size_line = True
+    for lineno, line in enumerate(lines[1:], start=2):
+        tokens = line.split()
+        if not tokens or (size_line and line.startswith(b"%")):
+            continue
+        if size_line:
+            n_digits = 3 if coordinate else 2
+        else:
+            n_digits = 2 if coordinate else 0
+        want = n_digits + (0 if size_line else _MTX_VALUES[header[3]])
+        if len(tokens) != want:
+            raise IngestionError(
+                f"{path.name}:{lineno}: expected {want} numbers in a "
+                f"{'size' if size_line else 'entry'} line of "
+                f"{header[2].decode()} {header[3].decode()} data, got "
+                f"{len(tokens)}", line=lineno)
+        for i, token in enumerate(tokens):
+            if i < n_digits:
+                ok = token.isdigit()
+            elif integral:
+                ok = token.removeprefix(b"-").isdigit()
+            else:
+                ok = _parse(token.decode("latin-1")) is not None
+            if not ok:
+                raise IngestionError(f"{path.name}:{lineno}: cannot parse "
+                                     f"{token.decode('latin-1')!r}",
+                                     line=lineno)
+        size_line = False
+
+
 def load_matrix(path) -> sp.csr_array:
     """Read a ``.mtx`` or ``.csv`` file holding a non-empty square matrix of
     finite real weights. A NUL byte is an ``IngestionError`` before any parser
@@ -79,6 +130,7 @@ def load_matrix(path) -> sp.csr_array:
             # but trailing bytes, and crashes the interpreter.
             if not data.endswith(b"\n"):
                 data += b"\n"
+            _check_mtx_lines(data, path)
             W = sp.csr_array(sp.coo_array(scipy.io.mmread(io.BytesIO(data))))
         else:
             # loadtxt warns on a file with no data; the shape check below

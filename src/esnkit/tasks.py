@@ -214,14 +214,20 @@ def _text_lines(path: Path) -> list[str]:
     return io.StringIO(text, newline=None).readlines()
 
 
-def _number(token: str, path: Path, lineno: int) -> float:
-    """``token`` read by the one number rule of esnkit's text files: ``float``
-    reads it, it is ASCII, holds no ``_`` and is finite; anything else is an
-    ``IngestionError`` that names ``path:lineno``."""
+def _parse(token: str) -> float | None:
+    """``float(token)`` for an ASCII ``token`` that holds no ``_``, the
+    syntax of esnkit's numbers in text files; ``None`` for any other."""
     try:
-        value = float(token) if token.isascii() and "_" not in token else None
+        return float(token) if token.isascii() and "_" not in token else None
     except ValueError:
-        value = None
+        return None
+
+
+def _number(token: str, path: Path, lineno: int) -> float:
+    """``token`` read by the one number rule of esnkit's text files:
+    ``_parse`` reads it and it is finite; anything else is an
+    ``IngestionError`` that names ``path:lineno``."""
+    value = _parse(token)
     if value is None or not np.isfinite(value):
         problem = "cannot parse" if value is None else "non-finite value"
         raise IngestionError(f"{path.name}:{lineno}: {problem} {token!r}",

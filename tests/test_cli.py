@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from esnkit import benchmarks, cli, reservoirs
 from esnkit.benchmarks import benchmark
 from esnkit.cli import _openblas_thread_controls, _single_blas_thread, main
+from esnkit.errors import ParameterError
 from esnkit.metrics import MemoryProfile
 from esnkit.reservoirs import Normalization, gen_er, make_reservoir
 from esnkit.storage import (read_json, save_matrix, save_reservoir,
@@ -818,6 +819,19 @@ class TestErrors:
         assert (code, err["error"]) == (3, "DataError")
         assert "res.mtx" in err["message"] and "complex" in err["message"]
 
+    @pytest.mark.parametrize("entry", [b"4 3 1_0", b"4 3 1x", b"4 3 1 2 3",
+                                       b"4 3.0 1"])
+    def test_mtx_entry_with_junk(self, tmp_path, capsys, entry):
+        # mmread read the first three as 1.0 at (4, 3) and the last as 0.0
+        # at (4, 3), and spectrum exited 0.
+        path = tmp_path / "w.mtx"
+        path.write_bytes(b"%%MatrixMarket matrix coordinate real general\n"
+                         b"4 4 2\n1 2 0.5\n" + entry + b"\n")
+        code, err = self.quiet_error(capsys, "spectrum", path,
+                                     "-o", tmp_path / "o")
+        assert (code, err["error"]) == (3, "IngestionError")
+        assert err["message"].startswith("w.mtx:4: ")
+
     @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank"])
     def test_empty_csv_matrix(self, tmp_path, capsys, text):
         # loadtxt's no-data warning, then exit 2 on a (1, 0) matrix.
@@ -1323,7 +1337,7 @@ class TestBenchmarkCommand:
             "reservoir": {"family": "ER", "n": 25}, "ensemble": 3})
         assert run_cli("benchmark", "-c", cfg, "-o", tmp_path / "b",
                        "--workers", 2) == 0
-        assert len(sent) == 3
+        assert len(sent) == 1  # member 1; the caller runs members 0 and 2
         assert not any(b"TaskBundle" in data for data in sent)
         assert cli._shared is None
 
@@ -1396,6 +1410,80 @@ class TestBenchmarkCommand:
         rows = list(csv.reader((out / "results.csv").read_text()
                                .splitlines()[2:]))
         assert [row[4] for row in rows] == [f"{score:.8f}"]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of every process pool the CLI creates."""
+    sizes = []
+
+    class Recording(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+    return sizes
+
+
+def _performance(outdir) -> list[tuple[int, float]]:
+    """(member, performance) of each row of a ``results.csv``."""
+    with open(outdir / "results.csv") as fh:
+        rows = list(csv.DictReader(line for line in fh
+                                   if not line.startswith("#")))
+    return [(int(r["member"]), float(r["performance"])) for r in rows]
+
+
+class TestMemberRunner:
+    """The caller runs its own share of the members beside ``workers - 1``
+    forked children."""
+
+    @staticmethod
+    def config(tmp_path, ensemble):
+        return write_config(tmp_path, "b.json", {
+            "task": {"name": "sine-mixture", "seed": 1, "length": 1200},
+            "reservoir": {"family": "ER", "n": 25}, "ensemble": ensemble})
+
+    def test_one_member_forks_nothing(self, tmp_path, pool_sizes):
+        assert run_cli("benchmark", "-c", self.config(tmp_path, 1), "-o",
+                       tmp_path / "b", "--workers", 2) == 0
+        assert pool_sizes == []
+
+    def test_children_for_the_other_members(self, tmp_path, pool_sizes):
+        assert run_cli("benchmark", "-c", self.config(tmp_path, 2), "-o",
+                       tmp_path / "b", "--workers", 3) == 0
+        assert pool_sizes == [1]
+
+    @pytest.mark.parametrize("workers, in_caller", [
+        (1, [1.0] * 4), (2, [1.0, 0.0, 1.0, 0.0])])
+    def test_caller_runs_its_share(self, tmp_path, monkeypatch, workers,
+                                   in_caller):
+        caller = os.getpid()
+        monkeypatch.setattr(cli, "benchmark", lambda bundle, reservoir:
+                            float(os.getpid() == caller))
+        assert run_cli("benchmark", "-c", self.config(tmp_path, 4), "-o",
+                       tmp_path / "b", "--workers", workers) == 0
+        assert _performance(tmp_path / "b") == list(enumerate(in_caller))
+
+    def test_first_failing_member_in_payload_order(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # At --workers 2 a child fails on member 1 and the caller on member
+        # 2; at --workers 3 two children do.
+        def failing(bundle, reservoir):
+            member = reservoir.meta.seed[-1]
+            if member in (1, 2):
+                raise ParameterError(f"member {member} failed")
+            return 0.5
+
+        monkeypatch.setattr(cli, "benchmark", failing)
+        cfg = self.config(tmp_path, 4)
+        errors = []
+        for workers in (1, 2, 3):
+            assert run_cli("benchmark", "-c", cfg, "-o", tmp_path / "b",
+                           "--workers", workers) == 2
+            errors.append(capsys.readouterr().err.strip().splitlines())
+        assert errors == [['{"error": "ParameterError", '
+                           '"message": "member 1 failed"}']] * 3
 
 
 def _blas_threads(controls) -> list[int]:

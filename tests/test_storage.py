@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import scipy.sparse as sp
 
-from esnkit.errors import DataError
+from esnkit.errors import DataError, IngestionError
 from esnkit.metrics import MemoryProfile
 from esnkit.reservoirs import (Normalization, Reservoir, ReservoirMeta,
                                gen_cycle_enhanced, gen_er)
@@ -43,6 +43,55 @@ class TestMatrixFormats:
             save_matrix(np.eye(2), tmp_path / "w.npy")
         with pytest.raises(DataError):
             load_matrix(tmp_path / "missing.mtx")
+
+
+_COORDINATE = b"%%MatrixMarket matrix coordinate real general\n"
+
+
+class TestMatrixMarketLines:
+    @pytest.mark.parametrize("text, want", [
+        (_COORDINATE + b"%\n\n2 2 1\n\n 2\t1  .5 \r\n\n", [[0, 0], [0.5, 0]]),
+        (b"%%MatrixMarket Matrix COORDINATE Real General\n2 2 1\n2 1 1.\n",
+         [[0, 0], [1, 0]]),
+        (b"%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n2 1 3\n",
+         [[0, 3], [3, 0]]),
+        (b"%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 2\n",
+         [[0, 1], [0, 0]]),
+        (b"%%MatrixMarket matrix coordinate integer general\n2 2 1\n2 1 -7\n",
+         [[0, 0], [-7, 0]]),
+        (b"%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4e-1\n",
+         [[1, 3], [2, 0.4]]),
+    ], ids=["blanks", "header_case", "symmetric", "pattern", "integer",
+            "array"])
+    def test_well_formed(self, tmp_path, text, want):
+        path = tmp_path / "w.mtx"
+        path.write_bytes(text)
+        assert load_matrix(path).toarray().tolist() == want
+
+    @pytest.mark.parametrize("text, lineno", [
+        (_COORDINATE + b"2 2 1\n2 1 1_0\n", 3),
+        (_COORDINATE + b"2 2 1\n2 1 0x10\n", 3),
+        (_COORDINATE + b"2 2 1\n2 1 1,5\n", 3),
+        (_COORDINATE + b"2 2 1\n2 1 1\xa0\n", 3),
+        (_COORDINATE + b"2 2 1\n2 1\n", 3),
+        (_COORDINATE + b"2 2 1\n2 +1 1\n", 3),
+        (_COORDINATE + b"2 2 1\n%\n2 1 1\n", 3),
+        (_COORDINATE + b"\n2 2.0 1\n2 1 1\n", 3),
+        (_COORDINATE + b"2 2\n2 1 1\n", 2),
+        (b"%%MatrixMarket matrix coordinate integer general\n2 2 1\n2 1 1e1\n",
+         3),
+        (b"%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 2 1\n",
+         3),
+        (b"%%MatrixMarket matrix array real general\n2 2\n1\n2 3\n4\n", 4),
+    ], ids=["underscore", "hex", "comma", "non_ascii", "short", "sign_index",
+            "late_comment", "size", "size_count", "integer", "pattern",
+            "array"])
+    def test_malformed_line_named(self, tmp_path, text, lineno):
+        path = tmp_path / "w.mtx"
+        path.write_bytes(text)
+        with pytest.raises(IngestionError, match=f"^w.mtx:{lineno}: ") as exc:
+            load_matrix(path)
+        assert exc.value.line == lineno
 
 
 class TestReservoirRoundTrip:

@@ -1,11 +1,14 @@
 """The value comparison of ``tools/pool_check.py``, which decides whether a
-change leaves every benchmark output unchanged."""
+change leaves every benchmark output unchanged, and its worker count."""
 
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import pytest
+
+from esnkit import cli
 
 POOL_CHECK = Path(__file__).resolve().parents[1] / "tools" / "pool_check.py"
 
@@ -66,3 +69,20 @@ class TestCompare:
     def test_workload_missing_from_old_dump(self, pool_check):
         assert pool_check.compare({}, {"w": {"case": {"a": 1.0, "b": 2}}}) == 2
 
+
+class TestWorkers:
+    @pytest.mark.parametrize("argv, want",
+                             [([], "1"), (["--workers", "2"], "2")])
+    def test_pooled_workload_gets_the_count(self, pool_check, monkeypatch,
+                                            argv, want):
+        # main puts the checkout's src and perfbench first on sys.path and
+        # imports perfbench's workloads module.
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        seen = []
+        monkeypatch.setattr(cli, "main", lambda args: seen.append(args) or 0)
+        try:
+            pool_check.main(argv + ["classify_pool"])
+        finally:
+            sys.modules.pop("workloads", None)
+        assert seen and all(args[args.index("--workers") + 1] == want
+                            for args in seen)

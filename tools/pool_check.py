@@ -1,11 +1,11 @@
 """Run every perfbench pool case once and digest the outputs.
 
     python3 tools/pool_check.py [--root CHECKOUT] [--dump FILE]
-                                [--compare FILE] [workload ...]
+                                [--compare FILE] [--workers N] [workload ...]
 
 Runs each case of each workload's pool (all workloads by default) through
-``esnkit.cli.main`` on the serial path, in a temporary directory, and checks
-its outputs with ``workloads.check`` against ``perfbench/references``. Prints
+``esnkit.cli.main`` in a temporary directory, and checks its outputs with
+``workloads.check`` against ``perfbench/references``. Prints
 the attempted and failed check counts and a SHA-256 digest over every
 deterministic output file, per workload and in total; manifests (which carry
 wall-clock times) and the response-table cache are left out. Two checkouts
@@ -15,8 +15,11 @@ each value that differs from such a dump, with its relative change, and the
 largest change per workload. The exit status is 1 when a check fails or a
 value differs from the ``--compare`` dump, and 0 otherwise. ``--root`` names
 the checkout whose ``src`` and ``perfbench`` are used (default: the one
-holding this script); nothing under ``perfbench/`` is written. All 40 cases
-take about 100 s on 2 vCPUs.
+holding this script); nothing under ``perfbench/`` is written.
+``--workers N`` (default 1, the serial path) is passed to the commands of
+the pooled workload, classify_pool, whose outputs and digest must not
+depend on it; the other workloads take no worker count. All 40 cases take
+about 100 s on 2 vCPUs.
 """
 
 from __future__ import annotations
@@ -98,6 +101,8 @@ def main(argv=None) -> int:
                         help="write every value workload.read returns here")
     parser.add_argument("--compare", type=Path,
                         help="list the values that differ from this dump")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="--workers of the pooled workload's commands")
     parser.add_argument("workloads", nargs="*")
     args = parser.parse_args(argv)
     root = args.root.resolve()
@@ -118,8 +123,8 @@ def main(argv=None) -> int:
             with tempfile.TemporaryDirectory() as tmp:
                 workdir = Path(tmp)
                 with contextlib.redirect_stdout(io.StringIO()):
-                    codes = [cli.main(argv) for argv
-                             in workload.commands(case, workdir, 1)]
+                    argvs = workload.commands(case, workdir, args.workers)
+                    codes = [cli.main(argv) for argv in argvs]
                 outputs = workload.read(case, workdir)
                 n, bad, _ = workload.check(case, outputs, reference)
                 attempted += n
